@@ -20,13 +20,14 @@ from . import degrees as dv
 from .core import (
     Morphism,
     Skeleton,
+    _swap_desc,
     compose,
     count_morphisms,
     enumerate_morphisms,
     factorize,
     identity,
     make_morphism,
-    opposite_cached,
+    opposite_graph,
     subblock,
     validate_skeleton,
 )
@@ -66,6 +67,9 @@ from .relations import (
     window_op,
 )
 from .spectral import (
+    _generator_matrix,
+    _mat_mul,
+    af_multiplicities,
     classify_connectivity,
     perron_data,
     vertex_matrix,
@@ -212,8 +216,6 @@ def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig) -> CheckResu
             if not spots:
                 break
             i = rng.choice(spots)
-            from .core import _swap_desc
-
             lo, hi = _swap_desc(sk, trial[i], trial[i + 1])
             trial[i], trial[i + 1] = lo, hi
         if tuple(trial) != reference.word:
@@ -225,8 +227,8 @@ def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig) -> CheckResu
 
 def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     name = "opposite-involution"
-    op = opposite_cached(sk)
-    if opposite_cached(op) != sk:
+    op = opposite_graph(sk)
+    if opposite_graph(op) != sk:
         return CheckResult(name, "fail", "double opposite differs from the original")
     if not validate_skeleton(op).ok:
         return CheckResult(name, "fail", "opposite skeleton is not valid")
@@ -244,8 +246,6 @@ def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
 def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     name = "semigroup-law"
     three = dv.scaled(3, sk.k)
-    from .spectral import _mat_mul
-
     for p in dv.box(dv.zero(sk.k), three):
         mp = vertex_matrix(sk, p).entries
         for q in dv.box(dv.zero(sk.k), three):
@@ -258,8 +258,6 @@ def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
 
 def check_generator_commutation(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     name = "generator-commutation"
-    from .spectral import _generator_matrix, _mat_mul
-
     for i in range(sk.k):
         for j in range(i + 1, sk.k):
             a, b = _generator_matrix(sk, i), _generator_matrix(sk, j)
@@ -313,8 +311,6 @@ def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
 
 def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     name = "af-consistency"
-    from .spectral import af_multiplicities
-
     two = dv.scaled(2, sk.k)
     for m in dv.box(dv.zero(sk.k), two):
         for n in dv.box(dv.zero(sk.k), two):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -59,12 +60,29 @@ from .spectral import (
     aperiodicity_probe,
     classify_connectivity,
     perron_data,
+    vertex_matrix,
 )
-from .spectral import vertex_matrix
 
 COMMANDS = ("validate", "enumerate", "spectral", "measure", "dynamics", "relations", "suite")
 
-_CONFIG_KEYS = {"tol", "bound", "radius", "metric_r", "seed"}
+
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+#: config key -> (test on its value, what the value must be)
+_CONFIG_RULES = {
+    "tol": (lambda x: _is_real(x) and 0 < x < math.inf, "must be a positive finite number"),
+    "bound": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
+    "radius": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
+    "metric_r": (lambda x: _is_real(x) and 0 < x < 1, "must be a number in (0, 1)"),
+    "seed": (_is_int, "must be an integer"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +106,7 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
     _expect(not unknown, "document", f"unknown fields {sorted(unknown)}")
     for field_name in ("k", "vertices", "edges"):
         _expect(field_name in doc, "document", f"missing field {field_name!r}")
-    _expect(isinstance(doc["k"], int), "k", "must be an integer")
+    _expect(_is_int(doc["k"]), "k", "must be an integer")
     _expect(isinstance(doc["vertices"], list), "vertices", "must be an array")
     for i, v in enumerate(doc["vertices"]):
         _expect(isinstance(v, str), f"vertices[{i}]", "must be a string")
@@ -103,7 +121,7 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
             "needs exactly the fields id, color, range, source",
         )
         _expect(isinstance(e["id"], str), f"{where}.id", "must be a string")
-        _expect(isinstance(e["color"], int), f"{where}.color", "must be an integer")
+        _expect(_is_int(e["color"]), f"{where}.color", "must be an integer")
         for fld in ("range", "source"):
             _expect(isinstance(e[fld], str), f"{where}.{fld}", "must be a string")
         edges.append(ColoredEdge(e["id"], e["color"], e["range"], e["source"]))
@@ -124,7 +142,7 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
                 "must be a pair",
             )
         _expect(
-            all(isinstance(c, int) for c in s["pair"]),
+            all(_is_int(c) for c in s["pair"]),
             f"{where}.pair",
             "must hold two integers",
         )
@@ -133,7 +151,7 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
         )
     config = doc.get("config", {})
     _expect(isinstance(config, dict), "config", "must be an object")
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - set(_CONFIG_RULES)
     _expect(not unknown, "config", f"unknown keys {sorted(unknown)}")
     sk = Skeleton(doc["k"], tuple(doc["vertices"]), tuple(edges), tuple(squares))
     return sk, dict(config)
@@ -145,13 +163,15 @@ def parse_spec(text: str) -> Skeleton:
 
 
 def _merge_config(file_cfg: dict, overrides: dict | None) -> AnalysisConfig:
-    cfg = AnalysisConfig()
+    """File config under flag overrides, each value checked once, here."""
     merged = dict(file_cfg)
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    rename = {"bound": "search_bound"}
     for key, val in merged.items():
-        cfg = replace(cfg, **{rename.get(key, key): val})
-    return cfg
+        _expect(key in _CONFIG_RULES, "config", f"unknown key {key!r}")
+        ok, what = _CONFIG_RULES[key]
+        _expect(ok(val), f"config.{key}", what)
+    rename = {"bound": "search_bound"}
+    return replace(AnalysisConfig(), **{rename.get(k, k): v for k, v in merged.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +361,18 @@ def _cmd_measure(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
     return {"t": list(pd.t), "cylinders": cylinders, "vertex_mass": total}
 
 
-def _cmd_dynamics(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
-    rng = random.Random(cfg.seed)
-    n = cfg.radius
+def _cli_windows(sk: Skeleton, n: int, rng: random.Random) -> tuple[int, list]:
+    """The number of radius-n windows, and all of them if there are at most
+    128, else 32 uniform draws."""
     total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
     if total <= 128:
-        windows = all_windows(sk, n)
-    else:
-        windows = [sample_window(sk, n, rng) for _ in range(32)]
+        return total, all_windows(sk, n)
+    return total, [sample_window(sk, n, rng) for _ in range(32)]
+
+
+def _cmd_dynamics(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
+    rng = random.Random(cfg.seed)
+    total, windows = _cli_windows(sk, cfg.radius, rng)
     params = MetricParams(cfg.metric_r)
     records = [w.record() for w in windows[:64]]
     metric_samples = []
@@ -394,12 +418,7 @@ def _cmd_dynamics(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
 
 def _cmd_relations(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
     rng = random.Random(cfg.seed)
-    n = cfg.radius
-    total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total <= 128:
-        windows = all_windows(sk, n)
-    else:
-        windows = [sample_window(sk, n, rng) for _ in range(32)]
+    _, windows = _cli_windows(sk, cfg.radius, rng)
     sweeps = []
     one = dv.ones(sk.k)
     for idx in range(min(60, len(windows) ** 2)):

@@ -204,6 +204,10 @@ class Skeleton:
             out.setdefault((e.source, e.color), []).append(e)
         return {key: tuple(es) for key, es in out.items()}
 
+    @cached_property
+    def _vertex_index(self) -> Mapping[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def edges_with_range(self, v: Vertex, color: int) -> tuple[ColoredEdge, ...]:
         return self._by_range.get((v, color), ())
 
@@ -366,93 +370,111 @@ def make_morphism(sk: Skeleton, edge_ids: Sequence[str], vertex: Vertex | None =
 # -- counting and enumeration ------------------------------------------------
 
 
-def _first_color(m: Degree) -> int:
-    for i, c in enumerate(m):
-        if c > 0:
-            return i
-    return -1
+def _peel(m: Degree) -> Iterator[tuple[int, Degree]]:
+    """The peel chain of m: per edge of a degree-m normal-form word, in
+    order, its color c and the degree left after it.  c is the first
+    nonzero color of the degree before the step."""
+    rest = list(m)
+    for c, n in enumerate(m):
+        for _ in range(n):
+            rest[c] -= 1
+            yield c, tuple(rest)
+
+
+def _vm(sk: Skeleton, p: Degree) -> tuple[tuple[int, ...], ...]:
+    """The exact vertex matrix |Lambda^p|, rows by range and columns by
+    source, for a trusted p in N^k.
+
+    |Lambda^p| is the product of the generator matrices of the colors of
+    the peel chain of p (any order agrees once the squares biject).  Walks
+    down the chain to the nearest cached degree (or to 0) and builds back
+    up: with c the color peeled from m, row u of |Lambda^m| sums the rows
+    of |Lambda^(m - e_c)| at the sources of the color-c edges into u.
+    Every degree on the way is cached.
+    """
+    cache = sk._cache("vm")
+    hit = cache.get(p)
+    if hit is not None:
+        return hit
+    steps: list[tuple[Degree, int]] = []
+    below = p
+    for c, rest in _peel(p):
+        steps.append((below, c))
+        below = rest
+        if below in cache:
+            break
+    n = len(sk.vertices)
+    rows = cache.get(below) or tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cache[below] = rows
+    index = sk._vertex_index
+    zero = (0,) * n
+    for m, c in reversed(steps):
+        prev = rows
+        picks = ([prev[index[e.source]] for e in sk.edges_with_range(u, c)] for u in sk.vertices)
+        rows = cache[m] = tuple(
+            r[0] if len(r) == 1 else tuple(map(sum, zip(zero, *r))) for r in picks
+        )
+    return rows
 
 
 def count_from(sk: Skeleton, v: Vertex, m: Degree) -> int:
     """Number of degree-m morphisms with range v.  Exact, arbitrary precision."""
-    if not dv.is_nonneg(m):
-        raise DegreeMismatch(f"degree {m} is not in N^k")
-    cache = sk._cache("count")
-    key = (v, m)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    c = _first_color(m)
-    if c < 0:
-        cache[key] = 1
-        return 1
-    rest = dv.sub(m, dv.unit(c, sk.k))
-    total = sum(count_from(sk, e.source, rest) for e in sk.edges_with_range(v, c))
-    cache[key] = total
-    return total
+    return sum(_vm(sk, dv.as_nonneg_degree(m, sk.k))[sk._vertex_index[v]])
 
 
 def count_morphisms(sk: Skeleton, n: Degree) -> int:
     """|Lambda^n|, summed over all range vertices."""
-    return sum(count_from(sk, v, n) for v in sk.vertices)
+    return sum(map(sum, _vm(sk, dv.as_nonneg_degree(n, sk.k))))
 
 
 def enumerate_morphisms(
     sk: Skeleton, n: Degree, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Morphism]:
-    """All morphisms of degree n, in normal form, deterministic order."""
-    n = dv.as_degree(n, sk.k)
-    if not dv.is_nonneg(n):
-        raise DegreeMismatch(f"degree {n} is not in N^k")
+    """All morphisms of degree n, in normal form, deterministic order.
+
+    Words grow one edge at a time along the peel chain of n; the order is by
+    range vertex, then by the choice of each edge from the range end.
+    """
+    n = dv.as_nonneg_degree(n, sk.k)
     total = count_morphisms(sk, n)
     if total > cap:
         raise BoundExceeded(f"|Lambda^{n}| = {total} exceeds the cap {cap}")
-    out: list[Morphism] = []
-    for v in sk.vertices:
-        for word, src in _words_from(sk, v, n):
-            out.append(_from_normal_word(sk, word, v, src))
-    return out
+    paths = [((), v, v) for v in sk.vertices]  # (word, range, source so far)
+    for c, _ in _peel(n):
+        paths = [
+            (word + (e.id,), v, e.source)
+            for word, v, at in paths
+            for e in sk.edges_with_range(at, c)
+        ]
+    return [_from_normal_word(sk, word, v, src) for word, v, src in paths]
 
 
-def _words_from(sk: Skeleton, v: Vertex, m: Degree) -> Iterator[tuple[tuple[str, ...], Vertex]]:
-    c = _first_color(m)
-    if c < 0:
-        yield (), v
-        return
-    rest = dv.sub(m, dv.unit(c, sk.k))
-    for e in sk.edges_with_range(v, c):
-        for word, src in _words_from(sk, e.source, rest):
-            yield (e.id,) + word, src
+def _pick(items: Sequence, weights: Sequence, x):
+    """The item whose interval of the cumulative weights holds x, for x in
+    [0, sum(weights)); the last item when rounding leaves x past the end."""
+    for item, w in zip(items, weights):
+        if x < w:
+            return item
+        x -= w
+    return items[-1]
 
 
 def sample_morphism(sk: Skeleton, n: Degree, rng) -> Morphism:
     """Draw uniformly from Lambda^n using exact completion counts."""
-    n = dv.as_degree(n, sk.k)
-    weights = [count_from(sk, v, n) for v in sk.vertices]
-    total = sum(weights)
-    if total == 0:
+    n = dv.as_nonneg_degree(n, sk.k)
+    weights = [sum(row) for row in _vm(sk, n)]
+    if sum(weights) == 0:
         raise BoundExceeded(f"Lambda^{n} is empty")
-    pick = rng.randrange(total)
-    for v, w in zip(sk.vertices, weights):
-        if pick < w:
-            start = v
-            break
-        pick -= w
+    start = at = _pick(sk.vertices, weights, rng.randrange(sum(weights)))
+    index = sk._vertex_index
     word: list[str] = []
-    m, at = n, start
-    while not dv.is_zero(m):
-        c = _first_color(m)
-        rest = dv.sub(m, dv.unit(c, sk.k))
+    for c, rest in _peel(n):
+        rows = _vm(sk, rest)
         choices = sk.edges_with_range(at, c)
-        counts = [count_from(sk, e.source, rest) for e in choices]
-        pick = rng.randrange(sum(counts))
-        for e, w in zip(choices, counts):
-            if pick < w:
-                word.append(e.id)
-                at = e.source
-                break
-            pick -= w
-        m = rest
+        counts = [sum(rows[index[e.source]]) for e in choices]
+        e = _pick(choices, counts, rng.randrange(sum(counts)))
+        word.append(e.id)
+        at = e.source
     return _from_normal_word(sk, word, start, at)
 
 
@@ -702,27 +724,22 @@ def _check_standing_assumption(sk: Skeleton, out: list[Violation]) -> None:
 def opposite_graph(sk: Skeleton) -> Skeleton:
     """The opposite k-graph: every edge reversed, square tables transported.
 
-    Edge ids are preserved, so applying this twice returns the original
-    skeleton exactly.
+    Edge ids are preserved, and the result is memoized on both skeletons,
+    so applying this twice returns the original object, not just an equal
+    one.
     """
-    edges = tuple(
-        ColoredEdge(e.id, e.color, range=e.source, source=e.range) for e in sk.edges
-    )
-    # f*g = g'*f'  in Lambda becomes  f'*g' = g*f  in the opposite graph
-    squares = tuple(
-        SquareRule(r.pair, left=(r.right[1], r.right[0]), right=(r.left[1], r.left[0]))
-        for r in sk.squares
-    )
-    return Skeleton(sk.k, sk.vertices, edges, squares)
-
-
-def opposite_cached(sk: Skeleton) -> Skeleton:
-    """opposite_graph with instance-level memoization; the opposite of the
-    opposite is the original object, not just an equal one."""
     cache = sk._cache("opposite")
     hit = cache.get("op")
     if hit is None:
-        hit = opposite_graph(sk)
+        edges = tuple(
+            ColoredEdge(e.id, e.color, range=e.source, source=e.range) for e in sk.edges
+        )
+        # f*g = g'*f'  in Lambda becomes  f'*g' = g*f  in the opposite graph
+        squares = tuple(
+            SquareRule(r.pair, left=(r.right[1], r.right[0]), right=(r.left[1], r.left[0]))
+            for r in sk.squares
+        )
+        hit = Skeleton(sk.k, sk.vertices, edges, squares)
         cache["op"] = hit
         hit._cache("opposite")["op"] = sk
     return hit
@@ -730,7 +747,7 @@ def opposite_cached(sk: Skeleton) -> Skeleton:
 
 def opposite_morphism(mu: Morphism) -> Morphism:
     """The same path seen in the opposite graph: word reversed, renormalized."""
-    op = opposite_cached(mu.skeleton)
+    op = opposite_graph(mu.skeleton)
     if mu.is_identity:
         return identity(op, mu.range)
     word = _normalize_word(op, list(reversed(mu.word)))

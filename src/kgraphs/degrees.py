@@ -9,6 +9,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
+from .errors import DegreeMismatch
+
 Degree = tuple[int, ...]
 
 
@@ -81,4 +83,12 @@ def as_degree(value: Iterable[int], k: int) -> Degree:
     d = tuple(int(x) for x in value)
     if len(d) != k:
         raise ValueError(f"expected a length-{k} degree vector, got {d!r}")
+    return d
+
+
+def as_nonneg_degree(value: Iterable[int], k: int) -> Degree:
+    """as_degree for degrees that must lie in N^k."""
+    d = as_degree(value, k)
+    if not is_nonneg(d):
+        raise DegreeMismatch(f"degree {d} is not in N^k")
     return d

@@ -18,10 +18,15 @@ from .core import (
     Morphism,
     Skeleton,
     Vertex,
+    _from_normal_word,
+    _peel,
+    _pick,
+    _vm,
     compose,
     count_morphisms,
     enumerate_morphisms,
     factorize,
+    make_morphism,
     sample_morphism,
     subblock,
 )
@@ -37,7 +42,7 @@ from .errors import (
     RadiusMismatch,
 )
 from .measure import CylinderSet
-from .spectral import PerronData, classify_connectivity, vertex_matrix
+from .spectral import PerronData, classify_connectivity
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,6 @@ def make_window(sk: Skeleton, body: Morphism, n: int) -> Window:
 def window_from_record(sk: Skeleton, rec: dict) -> Window:
     if rec["skeleton"] != sk.digest():
         raise GraphMismatch("record was written for a different skeleton")
-    from .core import make_morphism
-
     body = make_morphism(sk, rec["edges"])
     return make_window(sk, body, rec["radius"])
 
@@ -148,32 +151,14 @@ def sample_window_parry(pd: PerronData, n: int, rng) -> Window:
     """
     sk = pd.skeleton
     weights = [pd.a[v] * pd.b[v] for v in sk.vertices]
-    x = rng.random() * sum(weights)
-    at = sk.vertices[-1]
-    for v, w in zip(sk.vertices, weights):
-        if x < w:
-            at = v
-            break
-        x -= w
-    start = at
+    start = at = _pick(sk.vertices, weights, rng.random() * sum(weights))
     word: list[str] = []
-    m = dv.scaled(2 * n, sk.k)
-    while not dv.is_zero(m):
-        c = next(i for i, val in enumerate(m) if val > 0)
+    for c, _ in _peel(dv.scaled(2 * n, sk.k)):
         choices = sk.edges_with_range(at, c)
         probs = [pd.b[e.source] / (pd.t[c] * pd.b[at]) for e in choices]
-        x = rng.random() * sum(probs)
-        pick = choices[-1]
-        for e, q in zip(choices, probs):
-            if x < q:
-                pick = e
-                break
-            x -= q
-        word.append(pick.id)
-        at = pick.source
-        m = dv.sub(m, dv.unit(c, sk.k))
-    from .core import _from_normal_word
-
+        e = _pick(choices, probs, rng.random() * sum(probs))
+        word.append(e.id)
+        at = e.source
     return Window(n, _from_normal_word(sk, word, start, at))
 
 
@@ -353,23 +338,19 @@ def mixing_lag(
 def connecting_morphism(sk: Skeleton, u: Vertex, v: Vertex, m: Degree) -> Morphism | None:
     """Some morphism of degree m with range u and source v, or None.
 
-    Count-guided construction through the exact vertex matrices; no
-    enumeration of Lambda^m.
+    Count-guided construction through the exact vertex matrices along the
+    peel chain of m; no enumeration of Lambda^m.
     """
-    if vertex_matrix(sk, m).entry(u, v) == 0:
+    m = dv.as_nonneg_degree(m, sk.k)
+    index = sk._vertex_index
+    col = index[v]
+    if _vm(sk, m)[index[u]][col] == 0:
         return None
     word: list[str] = []
-    at, rest = u, dv.as_degree(m, sk.k)
-    while not dv.is_zero(rest):
-        c = next(i for i, val in enumerate(rest) if val > 0)
-        nxt = dv.sub(rest, dv.unit(c, sk.k))
-        counts = vertex_matrix(sk, nxt)
-        for e in sk.edges_with_range(at, c):
-            if counts.entry(e.source, v) > 0:
-                word.append(e.id)
-                at = e.source
-                break
-        rest = nxt
-    from .core import _from_normal_word
-
+    at = u
+    for c, rest in _peel(m):
+        rows = _vm(sk, rest)
+        e = next(e for e in sk.edges_with_range(at, c) if rows[index[e.source]][col] > 0)
+        word.append(e.id)
+        at = e.source
     return _from_normal_word(sk, word, u, v)

@@ -103,9 +103,7 @@ def conditional_measure(pd: PerronData, side: str, lam: Morphism) -> MeasureValu
 def base_measure(pd: PerronData, p: Degree, nu: Morphism) -> MeasureValue:
     """nu_{s,p}(Z(nu)) = t^-(p + d(nu)) b(s(nu)) on the one-sided path space."""
     pd.require_same_graph(nu)
-    p = dv.as_degree(p, nu.skeleton.k)
-    if not dv.is_nonneg(p):
-        raise DegreeMismatch(f"p must be in N^k, got {p}")
+    p = dv.as_nonneg_degree(p, nu.skeleton.k)
     exp = dv.neg(dv.add(p, nu.degree))
     bv = pd.b[nu.source]
     return MeasureValue(
@@ -119,9 +117,7 @@ def haar_weight(pd: PerronData, p: Degree, lam: Morphism) -> MeasureValue:
     t^-d(lam) a(r(lam)), which is exactly the compatibility that lets the
     fiber measures patch across p."""
     pd.require_same_graph(lam)
-    p = dv.as_degree(p, lam.skeleton.k)
-    if not dv.is_nonneg(p):
-        raise DegreeMismatch(f"p must be in N^k, got {p}")
+    p = dv.as_nonneg_degree(p, lam.skeleton.k)
     shifted_exp = dv.neg(dv.add(lam.degree, p))
     av = pd.a[lam.range]
     value = pd.t_power(p) * pd.t_power(shifted_exp) * av
@@ -144,9 +140,7 @@ def fiber_measure(pd: PerronData, p: Degree, z: Morphism, cyl: CylinderSet) -> f
     pd.require_same_graph(z)
     pd.require_same_graph(cyl.lam)
     sk = z.skeleton
-    p = dv.as_degree(p, sk.k)
-    if not dv.is_nonneg(p):
-        raise DegreeMismatch(f"p must be in N^k, got {p}")
+    p = dv.as_nonneg_degree(p, sk.k)
     lam, n0 = cyl.lam, cyl.offset
     n1 = cyl.top
     box_lo = dv.meet(n0, p)

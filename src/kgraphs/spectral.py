@@ -1,19 +1,21 @@
 """Vertex matrices, connectivity classes, Perron data and AF tower blocks.
 
 Vertex matrices are exact: entries are Python ints, so arbitrarily large
-path counts never overflow.  Floating point enters only in the Perron
-eigendata, which is computed by power iteration on an entrywise-positive
-combination of vertex matrices.
+path counts never overflow.  They come from the counting engine in core,
+which builds them without recursion at any degree.  Floating point enters
+only in the Perron eigendata, which is computed by power iteration on an
+entrywise-positive combination of vertex matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import degrees as dv
-from .core import Morphism, Skeleton, Vertex, enumerate_morphisms, subblock
+from .core import Morphism, Skeleton, Vertex, _vm, count_morphisms, enumerate_morphisms, subblock
 from .degrees import Degree
 from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotIrreducible
 
@@ -50,10 +52,6 @@ class VertexMatrix:
         }
 
 
-def _mat_id(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     n = len(a)
     bt = tuple(tuple(b[i][j] for i in range(n)) for j in range(n))
@@ -67,7 +65,7 @@ def _mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def _generator_matrix(sk: Skeleton, color: int) -> IntMatrix:
-    idx = {v: i for i, v in enumerate(sk.vertices)}
+    idx = sk._vertex_index
     n = len(sk.vertices)
     rows = [[0] * n for _ in range(n)]
     for e in sk.edges_of_color[color]:
@@ -75,29 +73,10 @@ def _generator_matrix(sk: Skeleton, color: int) -> IntMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _vm_entries(sk: Skeleton, p: Degree) -> IntMatrix:
-    cache = sk._cache("vm")
-    hit = cache.get(p)
-    if hit is not None:
-        return hit
-    if dv.is_zero(p):
-        out = _mat_id(len(sk.vertices))
-    else:
-        # peel one unit of the first nonzero color; products of generator
-        # matrices in any order agree once the squares biject
-        c = next(i for i, x in enumerate(p) if x > 0)
-        rest = dv.sub(p, dv.unit(c, sk.k))
-        out = _mat_mul(_generator_matrix(sk, c), _vm_entries(sk, rest))
-    cache[p] = out
-    return out
-
-
 def vertex_matrix(sk: Skeleton, p: Degree) -> VertexMatrix:
     """|Lambda^p| as a product of color-generator matrices, exact."""
-    p = dv.as_degree(p, sk.k)
-    if not dv.is_nonneg(p):
-        raise DegreeMismatch(f"degree {p} is not in N^k")
-    return VertexMatrix(p, sk.vertices, _vm_entries(sk, p))
+    p = dv.as_nonneg_degree(p, sk.k)
+    return VertexMatrix(p, sk.vertices, _vm(sk, p))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +206,8 @@ def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:
     bound = dv.ones(sk.k)
     limit = max(nv, 1)
     while True:
-        acc = None
-        for p in dv.box(dv.zero(sk.k), bound):
-            if dv.is_zero(p):
-                continue
-            m = _vm_entries(sk, p)
-            acc = m if acc is None else _mat_add(acc, m)
-        assert acc is not None
+        terms = [_vm(sk, p) for p in dv.box(dv.zero(sk.k), bound) if not dv.is_zero(p)]
+        acc = reduce(_mat_add, terms)
         if all(x > 0 for row in acc for x in row):
             break
         if max(bound) >= limit:
@@ -389,8 +363,6 @@ def aperiodicity_probe(sk: Skeleton, depth: int) -> ProbeResult:
     if depth < 1:
         raise DegreeMismatch("depth must be >= 1")
     big = dv.scaled(depth + 1, sk.k)
-    from .core import count_morphisms
-
     if count_morphisms(sk, big) > _PROBE_CAP:
         return InconclusiveProbe(f"|Lambda^{big}| exceeds the probe cap {_PROBE_CAP}")
     windows = enumerate_morphisms(sk, big)

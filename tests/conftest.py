@@ -8,10 +8,17 @@ from kgraphs.core import ColoredEdge, Skeleton, SquareRule
 from randgraphs import make_random_skeletons
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load_fixture(name: str) -> Skeleton:
     return parse_spec((FIXTURES / f"{name}.json").read_text())
+
+
+def golden_report(name: str, command: str) -> str:
+    """The rendered report of `command` on fixture `name` with the default
+    config, as checked in under tests/golden/."""
+    return (GOLDEN / f"{name}-{command}.txt").read_text()
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from kgraphs.spectral import (
     vertex_matrix,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, golden_report
 
 PHI = 1.618033988749895
 
@@ -273,5 +273,6 @@ def test_criterion_11_end_to_end():
             second = run("suite", text)
             assert second.exit_code == 0
             assert first.render() == second.render(), f"{name}: nondeterministic report"
+            assert first.render() == golden_report(name, "suite"), f"{name}: report changed"
 
-    _criterion(11, "suite command exits 0 with deterministic reports", math.inf, body)
+    _criterion(11, "suite command exits 0 with deterministic, golden reports", math.inf, body)

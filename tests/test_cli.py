@@ -171,3 +171,38 @@ def test_suite_passes_on_random_skeletons(random_skeletons):
         results = run_suite(sk, AnalysisConfig())
         fails = [r for r in results if r.failed]
         assert not fails, [(r.name, r.detail) for r in fails]
+
+
+def _set(path, value):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate, overrides",
+    [
+        ("g3", _set(("config",), {"metric_r": 2}), None),
+        ("g3", _set(("config",), {"tol": "x"}), None),
+        ("g3", _set(("config",), {"tol": 0}), None),
+        ("g3", _set(("config",), {"radius": 0}), None),
+        ("g3", _set(("config",), {"radius": 1.5}), None),
+        ("g3", _set(("config",), {"bound": True}), None),
+        ("g3", _set(("config",), {"seed": False}), None),
+        ("g1", _set(("k",), True), None),
+        ("g3", _set(("edges", 0, "color"), False), None),
+        ("g3", _set(("squares", 0, "pair"), [False, True]), None),
+        ("g3", _set(("config",), {}), {"radius": 0}),
+        ("g3", _set(("config",), {}), {"metric_r": 1.0}),
+    ],
+)
+def test_bad_inputs_are_input_violations(name, mutate, overrides):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutate(doc)
+    report = run("dynamics", json.dumps(doc), overrides)
+    assert report.exit_code == 2
+    assert [v["kind"] for v in report.violations] == ["input"]
