@@ -10,6 +10,7 @@ is part of the report, so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import degrees as dv
 from .core import (
     Morphism,
     Skeleton,
-    _swap_desc,
+    _swap,
     compose,
     count_morphisms,
     enumerate_morphisms,
@@ -28,6 +29,7 @@ from .core import (
     identity,
     make_morphism,
     opposite_graph,
+    opposite_morphism,
     subblock,
     validate_skeleton,
 )
@@ -103,6 +105,23 @@ class CheckResult:
         return self.status == "fail"
 
 
+def _check(name: str):
+    """Make a battery check from a body that takes its report name: the
+    check reports under that name, also when the body raises a KGraphError."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
+            try:
+                return body(sk, cfg, name)
+            except KGraphError as exc:
+                return CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
+
+        return check
+
+    return register
+
+
 def _rng(cfg: AnalysisConfig, name: str) -> random.Random:
     return random.Random(cfg.seed * 2654435761 + zlib.crc32(name.encode()))
 
@@ -133,8 +152,8 @@ def _suite_windows(sk: Skeleton, n: int, cfg: AnalysisConfig, name: str) -> list
 # ---------------------------------------------------------------------------
 
 
-def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "factorization-uniqueness"
+@_check("factorization-uniqueness")
+def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     two = dv.scaled(2, sk.k)
     for d in dv.box(dv.zero(sk.k), two):
         lams = enumerate_morphisms(sk, d, cap=cfg.enumeration_cap)
@@ -158,8 +177,8 @@ def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig) -> CheckRe
     return CheckResult(name, "pass")
 
 
-def check_associativity(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "associativity"
+@_check("associativity")
+def check_associativity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     two = dv.scaled(2, sk.k)
     checked = 0
     for d1 in dv.box(dv.zero(sk.k), two):
@@ -195,8 +214,8 @@ def _random_walk_word(sk: Skeleton, length: int, rng: random.Random) -> list[str
     return word
 
 
-def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "normal-form-confluence"
+@_check("normal-form-confluence")
+def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     rng = _rng(cfg, name)
     colors = sk.color_of
     for _ in range(200):
@@ -216,8 +235,7 @@ def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig) -> CheckResu
             if not spots:
                 break
             i = rng.choice(spots)
-            lo, hi = _swap_desc(sk, trial[i], trial[i + 1])
-            trial[i], trial[i + 1] = lo, hi
+            trial[i], trial[i + 1] = _swap(sk, trial[i], trial[i + 1])
         if tuple(trial) != reference.word:
             return CheckResult(
                 name, "fail", f"word {word} normalized to {trial} vs {reference.word}"
@@ -225,11 +243,14 @@ def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig) -> CheckResu
     return CheckResult(name, "pass")
 
 
-def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "opposite-involution"
+@_check("opposite-involution")
+def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+    # op(op(mu)) rewrites the reversed word through the opposite graph's
+    # square table and back through the original's
+    for mu in _morphisms_upto(sk, dv.scaled(2, sk.k)):
+        if opposite_morphism(opposite_morphism(mu)) != mu:
+            return CheckResult(name, "fail", f"op(op({mu!r})) != {mu!r}")
     op = opposite_graph(sk)
-    if opposite_graph(op) != sk:
-        return CheckResult(name, "fail", "double opposite differs from the original")
     if not validate_skeleton(op).ok:
         return CheckResult(name, "fail", "opposite skeleton is not valid")
     for p in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
@@ -243,8 +264,8 @@ def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "semigroup-law"
+@_check("semigroup-law")
+def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     three = dv.scaled(3, sk.k)
     for p in dv.box(dv.zero(sk.k), three):
         mp = vertex_matrix(sk, p).entries
@@ -256,8 +277,8 @@ def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_generator_commutation(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "generator-commutation"
+@_check("generator-commutation")
+def check_generator_commutation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     for i in range(sk.k):
         for j in range(i + 1, sk.k):
             a, b = _generator_matrix(sk, i), _generator_matrix(sk, j)
@@ -276,8 +297,8 @@ def _shared_perron(sk: Skeleton, cfg: AnalysisConfig):
     return cache[key]
 
 
-def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "eigen-equations"
+@_check("eigen-equations")
+def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -297,8 +318,8 @@ def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "perron-positivity"
+@_check("perron-positivity")
+def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -309,8 +330,8 @@ def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "fail", f"nonpositive entry in t={pd.t}")
 
 
-def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "af-consistency"
+@_check("af-consistency")
+def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     two = dv.scaled(2, sk.k)
     for m in dv.box(dv.zero(sk.k), two):
         for n in dv.box(dv.zero(sk.k), two):
@@ -332,8 +353,8 @@ _TOL_MEASURE = 1e-9
 _TOL_MASS = 1e-12
 
 
-def check_total_mass(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-total-mass"
+@_check("measure-total-mass")
+def check_total_mass(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -346,8 +367,8 @@ def check_total_mass(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_expansion(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-expansion"
+@_check("measure-expansion")
+def check_expansion(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -378,8 +399,8 @@ def check_expansion(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-product-decomposition"
+@_check("measure-product-decomposition")
+def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -408,8 +429,8 @@ def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig) -> CheckResul
     return CheckResult(name, "pass")
 
 
-def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-haar-scaling"
+@_check("measure-haar-scaling")
+def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -440,8 +461,8 @@ def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_trace_scaling(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-trace-scaling"
+@_check("measure-trace-scaling")
+def check_trace_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -462,8 +483,8 @@ def check_trace_scaling(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_disintegration(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "measure-disintegration"
+@_check("measure-disintegration")
+def check_disintegration(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
@@ -503,8 +524,8 @@ def check_disintegration(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "window-consistency"
+@_check("window-consistency")
+def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     k = sk.k
     for w in _suite_windows(sk, n, cfg, name)[:80]:
@@ -519,8 +540,8 @@ def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "shift-semigroup"
+@_check("shift-semigroup")
+def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     k = sk.k
     one = dv.ones(k)
@@ -539,26 +560,26 @@ def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_expansiveness(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "expansiveness"
+@_check("expansiveness")
+def check_expansiveness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = _suite_windows(sk, n, cfg, name)
-    shifts = [m for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k))]
+    shifted = [
+        [shift(w, m) for w in windows]
+        for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k))
+    ]
     for i, x in enumerate(windows):
-        for y in windows[i + 1 :]:
-            separated = False
-            for m in shifts:
-                if distance(shift(x, m), shift(y, m), params).rho >= params.r:
-                    separated = True
-                    break
-            if not separated:
-                return CheckResult(name, "fail", f"{x!r} and {y!r} are never separated")
+        for j in range(i + 1, len(windows)):
+            if not any(distance(ws[i], ws[j], params).rho >= params.r for ws in shifted):
+                return CheckResult(
+                    name, "fail", f"{x!r} and {windows[j]!r} are never separated"
+                )
     return CheckResult(name, "pass", f"{len(windows)} windows")
 
 
-def check_contraction(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "contraction-on-fibers"
+@_check("contraction-on-fibers")
+def check_contraction(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = _suite_windows(sk, n, cfg, name)
@@ -582,8 +603,8 @@ def check_contraction(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "bracket-axioms"
+@_check("bracket-axioms")
+def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     k = sk.k
     windows = _suite_windows(sk, n, cfg, name)
@@ -605,10 +626,11 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
                 if z.past != past or z.future != fut:
                     return CheckResult(name, "fail", "bracket does not glue halves")
                 reps.setdefault((past, fut), z)
+        half = k * n  # a key is the past word, then the future word
         for x in group:
             for y in group:
                 z = bracket(x, y)
-                if z.past != x.past or z.future != y.future:
+                if z.key[:half] != x.key[:half] or z.key[half:] != y.key[half:]:
                     return CheckResult(name, "fail", f"[{x!r},{y!r}] mixes halves")
         # [[x,y],z] reads only (x.past, y.future, z.future) and [x,[y,z]]
         # only (x.past, y.past, z.future); sweep those coordinates fully
@@ -627,26 +649,36 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
                     if bracket(x, bracket(y, z)) != xz:
                         return CheckResult(name, "fail", "[x,[y,z]] != [x,z]")
     # shift commutation, gated on agreement over the translation strip
-    # (the two sides read different paths inside the strip otherwise)
+    # (the two sides read different paths inside the strip otherwise).
+    # [sx, sy] reads only (sx.past, sy.future) and sigma^m [x, y] only
+    # (x.past, y.future), so each side is evaluated once per class and
+    # every gated pair compares the interned results of its two classes.
     one = dv.ones(k)
     for group in by_origin.values():
+        past = _tokens(group, lambda w: w.past)
+        future = _tokens(group, lambda w: w.future)
         for m in dv.box(dv.neg(one), one):
             if dv.is_zero(m):
                 continue
             lo, hi = dv.meet(m, dv.zero(k)), dv.join(m, dv.zero(k))
-            strip = _eq_matrix(_tokens(group, lambda w: w.extract(lo, hi)))
-            for i, j in zip(*np.nonzero(strip)):
-                x, y = group[i], group[j]
-                sx, sy = shift(x, m), shift(y, m)
-                if bracket(sx, sy) != shift(bracket(x, y), m):
-                    return CheckResult(
-                        name, "fail", f"sigma^{m} does not commute with bracket"
-                    )
+            ii, jj = np.nonzero(_eq_matrix(_tokens(group, lambda w: w.extract(lo, hi))))
+            moved = [shift(w, m) for w in group]
+            moved_past = _tokens(moved, lambda w: w.past)
+            moved_future = _tokens(moved, lambda w: w.future)
+            seen: dict[Window, int] = {}
+            lhs = _class_tokens(
+                ii, jj, moved_past, moved_future, lambda i, j: bracket(moved[i], moved[j]), seen
+            )
+            rhs = _class_tokens(
+                ii, jj, past, future, lambda i, j: shift(bracket(group[i], group[j]), m), seen
+            )
+            if bool(np.any(lhs != rhs)):
+                return CheckResult(name, "fail", f"sigma^{m} does not commute with bracket")
     return CheckResult(name, "pass")
 
 
-def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "bracket-uniqueness"
+@_check("bracket-uniqueness")
+def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
     if total > cfg.window_cap:
@@ -665,8 +697,8 @@ def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_mixing_lag(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "mixing-lag"
+@_check("mixing-lag")
+def check_mixing_lag(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     cc, pd = _shared_perron(sk, cfg)
     if not cc.primitive:
         return CheckResult(name, "skip", "not primitive within the search bound")
@@ -700,6 +732,18 @@ def _eq_matrix(tokens: "np.ndarray") -> "np.ndarray":
     return tokens[:, None] == tokens[None, :]
 
 
+def _class_tokens(ii, jj, left, right, evaluate, seen: dict) -> "np.ndarray":
+    """Per pair (ii[t], jj[t]), the interned token of evaluate(i, j) for a
+    value that depends only on (left[i], right[j]): evaluated once per
+    class, on its first pair.  ``seen`` interns the values."""
+    classes = left[ii] * (int(right.max()) + 1) + right[jj]
+    _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
+    tokens = np.array(
+        [seen.setdefault(evaluate(ii[t], jj[t]), len(seen)) for t in first], dtype=np.int64
+    )
+    return tokens[inverse]
+
+
 def _tail_eq(windows: list[Window], m: Degree) -> "np.ndarray":
     # pairwise window-scale G_{s,m} membership via the tail block x(m, Ne)
     k = windows[0].skeleton.k
@@ -725,8 +769,8 @@ def _api_cross_check(
     return True
 
 
-def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "stable-nesting"
+@_check("stable-nesting")
+def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     k = sk.k
     one = dv.ones(k)
     windows = _suite_windows(sk, cfg.radius, cfg, name)
@@ -745,7 +789,8 @@ def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass", f"{len(windows)} windows")
 
 
-def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
+@_check("relation-shift-conjugation")
+def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     """(x, y) in G_{s,m+n} iff (sigma^m x, sigma^m y) in G_{s,n}.
 
     The shifted window reaches only to m + N'e, so at window scale
@@ -753,7 +798,6 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     and the two agree exactly when the boxes align, i.e. for diagonal
     m = je with j >= 0.
     """
-    name = "relation-shift-conjugation"
     k = sk.k
     one = dv.ones(k)
     windows = _suite_windows(sk, cfg.radius, cfg, name)
@@ -780,10 +824,10 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_fibered_product(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
+@_check("relation-fibered-product")
+def check_fibered_product(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     """stable at m iff pi(sigma^m x) = pi(sigma^m y); the boxes align for
     diagonal m = je, j >= 0, and the forward implication holds always."""
-    name = "relation-fibered-product"
     k = sk.k
     one = dv.ones(k)
     windows = _suite_windows(sk, cfg.radius, cfg, name)
@@ -799,8 +843,8 @@ def check_fibered_product(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "asymptotic-meet"
+@_check("asymptotic-meet")
+def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     k = sk.k
     windows = _suite_windows(sk, cfg.radius, cfg, name)
     rng = _rng(cfg, name + "-api")
@@ -824,8 +868,8 @@ def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "relation-opposite-swap"
+@_check("relation-opposite-swap")
+def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     k = sk.k
     one = dv.ones(k)
     windows = _suite_windows(sk, cfg.radius, cfg, name)
@@ -852,8 +896,8 @@ def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
     return CheckResult(name, "pass")
 
 
-def check_semidirect_laws(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
-    name = "semidirect-laws"
+@_check("semidirect-laws")
+def check_semidirect_laws(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     k = sk.k
     rng = _rng(cfg, name)
     big = cfg.radius + 2
@@ -940,10 +984,4 @@ def run_suite(sk: Skeleton, cfg: AnalysisConfig) -> list[CheckResult]:
         return [
             CheckResult("skeleton-valid", "fail", "; ".join(v.message for v in report.violations))
         ]
-    results = [CheckResult("skeleton-valid", "pass")]
-    for fn in ALL_CHECKS:
-        try:
-            results.append(fn(sk, cfg))
-        except KGraphError as exc:
-            results.append(CheckResult(fn.__name__, "fail", f"{type(exc).__name__}: {exc}"))
-    return results
+    return [CheckResult("skeleton-valid", "pass")] + [fn(sk, cfg) for fn in ALL_CHECKS]

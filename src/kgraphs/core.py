@@ -223,11 +223,15 @@ class Skeleton:
         return out
 
     @cached_property
-    def square_inv(self) -> Mapping[tuple[int, int], Mapping[tuple[str, str], tuple[str, str]]]:
-        """(i, j) -> {(g', f'): (f, g)}, the inverse direction."""
-        out: dict[tuple[int, int], dict[tuple[str, str], tuple[str, str]]] = {}
-        for r in self.squares:
-            out.setdefault(r.pair, {})[r.right] = r.left
+    def square_swap(self) -> Mapping[tuple[str, str], tuple[str, str]]:
+        """Every square both ways round: {(f, g): (g', f'), (g', f'): (f, g)}.
+
+        A two-edge path of two colors maps to the other path around its unit
+        square.  The keys of the two directions never collide, because f
+        has the lower color and g' the higher one.
+        """
+        out = {r.left: r.right for r in self.squares}
+        out.update((r.right, r.left) for r in self.squares)
         return out
 
     @cached_property
@@ -243,25 +247,15 @@ class Skeleton:
 # ---------------------------------------------------------------------------
 
 
-def _swap_desc(sk: Skeleton, hi: str, lo: str) -> tuple[str, str]:
-    """Rewrite the adjacent pair hi*lo (descending colors) as lo'*hi'."""
-    ci, cj = sk.color_of[lo], sk.color_of[hi]
+def _swap(sk: Skeleton, first: str, second: str) -> tuple[str, str]:
+    """Rewrite the two-edge path first*second as the other path around its
+    square (descending colors to ascending, or back)."""
     try:
-        return sk.square_inv[(ci, cj)][(hi, lo)]
+        return sk.square_swap[(first, second)]
     except KeyError:
+        ci, cj = sorted((sk.color_of[first], sk.color_of[second]))
         raise ValidationFailure(
-            f"square table ({ci},{cj}) has no entry for pair ({hi!r}, {lo!r})"
-        ) from None
-
-
-def _swap_asc(sk: Skeleton, lo: str, hi: str) -> tuple[str, str]:
-    """Rewrite the adjacent pair lo*hi (ascending colors) as hi'*lo'."""
-    ci, cj = sk.color_of[lo], sk.color_of[hi]
-    try:
-        return sk.square_fwd[(ci, cj)][(lo, hi)]
-    except KeyError:
-        raise ValidationFailure(
-            f"square table ({ci},{cj}) has no entry for pair ({lo!r}, {hi!r})"
+            f"square table ({ci},{cj}) has no entry for pair ({first!r}, {second!r})"
         ) from None
 
 
@@ -274,8 +268,7 @@ def _normalize_word(sk: Skeleton, word: Sequence[str]) -> list[str]:
         i = len(out) - 1
         c = colors[eid]
         while i > 0 and colors[out[i - 1]] > c:
-            lo, hi = _swap_desc(sk, out[i - 1], out[i])
-            out[i - 1], out[i] = lo, hi
+            out[i - 1], out[i] = _swap(sk, out[i - 1], out[i])
             i -= 1
     return out
 
@@ -506,8 +499,7 @@ def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
     while colors[word[p]] != c:
         p += 1
     for i in range(p, 0, -1):
-        hi, lo = _swap_asc(sk, word[i - 1], word[i])
-        word[i - 1], word[i] = hi, lo
+        word[i - 1], word[i] = _swap(sk, word[i - 1], word[i])
     return word.pop(0)
 
 
@@ -552,6 +544,155 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
     mid, _ = factorize(tail, dv.sub(b, a), dv.sub(lam.degree, b))
     cache[key] = mid
     return mid
+
+
+# -- unit-edge grids ----------------------------------------------------------
+
+
+class GridShape:
+    """The unit edges x(c, c + e_i) of the box [0, d], laid out flat.
+
+    A path of degree d is a degree-preserving functor from the box to the
+    k-graph, so it is determined by the edge it puts on each unit edge; its
+    grid lists those edge ids in the order of ``units``.  One shape serves
+    every grid of its box and builds each plan once: the staircase read
+    plans (where the normal-form word of x(a, b) lies in the grid) and the
+    square-fill plans (how the grid follows from one path through the box).
+    """
+
+    def __init__(self, d: Degree) -> None:
+        self.d = d
+        k = len(d)
+        self.units = tuple(
+            (c, i) for c in dv.box(dv.zero(k), d) for i in range(k) if c[i] < d[i]
+        )
+        self.index = {u: slot for slot, u in enumerate(self.units)}
+        self._reads: dict[tuple[Degree, Degree], tuple[tuple[int, ...], ...]] = {}
+        self._fills: dict[Degree, tuple[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
+
+    def staircase(self, a: Degree, b: Degree) -> tuple[tuple[int, ...], ...]:
+        """Per color, the slots of that color's block of the normal-form word
+        of x(a, b): the path from a along e_0 first, then e_1, and so on."""
+        plan = self._reads.get((a, b))
+        if plan is None:
+            at = list(a)
+            blocks = []
+            for c in range(len(a)):
+                block = []
+                for t in range(a[c], b[c]):
+                    at[c] = t
+                    block.append(self.index[(tuple(at), c)])
+                at[c] = b[c]
+                blocks.append(tuple(block))
+            plan = self._reads[(a, b)] = tuple(blocks)
+        return plan
+
+    def _fill_plan(self, mid: Degree) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
+        """The slots of the path x(0, mid) x(mid, d), and the square steps
+        (a, b, x, y) completing the grid from it: slots a, b hold one way
+        round a unit square, x, y receive the other way round.
+
+        Every unit edge lies on a monotone path from 0 to d, and every such
+        path comes from the first one by swapping adjacent steps, one
+        square at a time, so the steps reach every slot.
+        """
+        plan = self._fills.get(mid)
+        if plan is not None:
+            return plan
+        d, units, index = self.d, self.units, self.index
+        path = tuple(
+            slot
+            for block in self.staircase(dv.zero(len(d)), mid) + self.staircase(mid, d)
+            for slot in block
+        )
+        known = set(path)
+        todo = list(path)
+        steps: list[tuple[int, int, int, int]] = []
+        while todo:
+            slot = todo.pop()
+            c, p = units[slot]
+            # the two-edge paths through this unit edge: (c, p) then
+            # (c + e_p, q), and (c - e_q, q) then (c, p)
+            around = []
+            for q in range(len(d)):
+                if q == p:
+                    continue
+                if c[q] < d[q]:
+                    up = dv.add(c, dv.unit(p, len(d)))
+                    around.append((slot, index[(up, q)], c, p, q))
+                if c[q] > 0:
+                    down = dv.sub(c, dv.unit(q, len(d)))
+                    around.append((index[(down, q)], slot, down, q, p))
+            for a, b, corner, first, second in around:
+                if a not in known or b not in known:
+                    continue
+                x = index[(corner, second)]
+                y = index[(dv.add(corner, dv.unit(second, len(d))), first)]
+                if x in known and y in known:
+                    continue
+                steps.append((a, b, x, y))
+                for new in (x, y):
+                    if new not in known:
+                        known.add(new)
+                        todo.append(new)
+        plan = self._fills[mid] = (path, steps)
+        return plan
+
+    def fill(self, sk: Skeleton, word: Sequence[str], mid: Degree) -> list[str]:
+        """The grid of the path whose normal-form words x(0, mid) and
+        x(mid, d), concatenated, are ``word``; one square lookup per step."""
+        path, steps = self._fill_plan(mid)
+        cells: list = [None] * len(self.units)
+        for slot, eid in zip(path, word, strict=True):
+            cells[slot] = eid
+        swap = sk.square_swap
+        try:
+            for a, b, x, y in steps:
+                cells[x], cells[y] = swap[cells[a], cells[b]]
+        except KeyError:
+            _swap(sk, cells[a], cells[b])  # raises, naming the missing square
+        return cells
+
+    def word(self, cells: Sequence[str], a: Degree, b: Degree) -> tuple[str, ...]:
+        """The normal-form word of x(a, b), read off a grid of this shape."""
+        return tuple(cells[slot] for block in self.staircase(a, b) for slot in block)
+
+    def vertex(self, sk: Skeleton, cells: Sequence[str], p: Degree) -> Vertex:
+        """x(p): the range of a unit edge leaving p or the source of one
+        entering it."""
+        for i, (pi, di) in enumerate(zip(p, self.d)):
+            if pi < di:
+                return sk.edge_map[cells[self.index[(p, i)]]].range
+            if pi > 0:
+                below = dv.sub(p, dv.unit(i, len(p)))
+                return sk.edge_map[cells[self.index[(below, i)]]].source
+        raise DegreeMismatch("the box [0, 0] has no unit edges")
+
+    def morphism(self, sk: Skeleton, cells: Sequence[str], a: Degree, b: Degree) -> Morphism:
+        """x(a, b), read off a grid of this shape."""
+        blocks = tuple(tuple(cells[slot] for slot in block) for block in self.staircase(a, b))
+        first = next((block[0] for block in blocks if block), None)
+        if first is None:
+            rng = src = self.vertex(sk, cells, a)
+        else:
+            last = next(block[-1] for block in reversed(blocks) if block)
+            rng, src = sk.edge_map[first].range, sk.edge_map[last].source
+        return Morphism(sk, dv.sub(b, a), blocks, rng, src)
+
+
+def grid_shape(sk: Skeleton, d: Degree) -> GridShape:
+    """The shared shape of the box [0, d], kept with the skeleton."""
+    shapes = sk._cache("grid")
+    shape = shapes.get(d)
+    if shape is None:
+        shape = shapes[d] = GridShape(d)
+    return shape
+
+
+def unit_grid(lam: Morphism) -> list[str]:
+    """The grid of lam over the box [0, d(lam)], in ``grid_shape`` order."""
+    d = lam.degree
+    return grid_shape(lam.skeleton, d).fill(lam.skeleton, lam.word, d)
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +826,13 @@ def _check_cubes(sk: Skeleton, out: list[Violation]) -> None:
 
 def _resolve_cube(sk: Skeleton, h: str, g: str, f: str, front_first: bool) -> tuple[str, str, str]:
     if front_first:
-        g1, h1 = _swap_desc(sk, h, g)
-        f1, h2 = _swap_desc(sk, h1, f)
-        f2, g2 = _swap_desc(sk, g1, f1)
+        g1, h1 = _swap(sk, h, g)
+        f1, h2 = _swap(sk, h1, f)
+        f2, g2 = _swap(sk, g1, f1)
         return (f2, g2, h2)
-    f1, g1 = _swap_desc(sk, g, f)
-    f2, h1 = _swap_desc(sk, h, f1)
-    g2, h2 = _swap_desc(sk, h1, g1)
+    f1, g1 = _swap(sk, g, f)
+    f2, h1 = _swap(sk, h, f1)
+    g2, h2 = _swap(sk, h1, g1)
     return (f2, g2, h2)
 
 

@@ -1,10 +1,16 @@
 """Window-scale dynamics of the Z^k shift on the two-sided path space.
 
 A Window is the restriction of a two-sided path to the symmetric box
-[-Ne, Ne], stored as a single morphism of degree 2Ne whose degree-Ne
-prefix is the past block.  Every operation that would read outside the
-box fails loudly rather than pad: a window never fabricates path data.
-Shifting therefore shrinks the radius by the max coordinate of the shift.
+[-Ne, Ne].  A two-sided path is a degree-preserving functor from the
+lattice category, so a window is stored as its grid of unit edges
+x(c, c + e_i) over the box (``core.GridShape``), and compared and hashed
+by its path through the origin: the past word x(-Ne, 0) followed by the
+future word x(0, Ne).  Extraction reads a staircase off the grid, shift
+and restriction are offset views of the same grid, and the bracket glues
+the past of one key to the future of another.  Every operation that would
+read outside the box fails loudly rather than pad: a window never
+fabricates path data.  Shifting therefore shrinks the radius by the max
+coordinate of the shift.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from functools import cached_property
 
 from . import degrees as dv
 from .core import (
+    GridShape,
     Morphism,
     Skeleton,
     Vertex,
@@ -26,9 +33,11 @@ from .core import (
     count_morphisms,
     enumerate_morphisms,
     factorize,
+    grid_shape,
     make_morphism,
     sample_morphism,
     subblock,
+    unit_grid,
 )
 from .degrees import Degree
 from .errors import (
@@ -54,55 +63,132 @@ class MetricParams:
             raise ValueError(f"metric parameter r must lie in (0, 1), got {self.r}")
 
 
-@dataclass(frozen=True, eq=False)
+#: a grid of unit edges, its shape, and the grid coordinates of a window's
+#: corner -Ne on it (views of one grid differ in the corner only)
+_Grid = tuple[GridShape, list[str], Degree]
+
+
 class Window:
-    """x(-Ne, Ne): a two-sided path truncated to the box of radius N."""
+    """x(-Ne, Ne): a two-sided path truncated to the box of radius N.
 
-    N: int
-    body: Morphism
+    Stored as its grid of unit edges over the box and identified by its
+    path through the origin, ``key``: the normal-form words of the past
+    x(-Ne, 0) and of the future x(0, Ne), concatenated.  The two halves
+    determine the window (unique factorisation at Ne).  Shifted and
+    restricted windows are views of the grid they were cut from; a bracket
+    is its key alone until a read needs the grid.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.N, self.body)))
+    def __init__(self, N: int, body: Morphism) -> None:
+        """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne."""
+        sk = body.skeleton
+        shape, cells = grid_shape(sk, body.degree), unit_grid(body)
+        ne = dv.scaled(N, sk.k)
+        self._set(sk, N, shape.word(cells, dv.zero(sk.k), ne) + shape.word(cells, ne, body.degree))
+        self._grid: _Grid | None = (shape, cells, dv.zero(sk.k))
+        self.body = body
+
+    @classmethod
+    def _of(cls, sk: Skeleton, N: int, key: tuple[str, ...], grid: _Grid | None = None) -> "Window":
+        """The window with this key on ``grid``, or on a grid filled from the
+        key when first read."""
+        w = cls.__new__(cls)
+        w._set(sk, N, key)
+        w._grid = grid
+        return w
+
+    def _set(self, sk: Skeleton, N: int, key: tuple[str, ...]) -> None:
+        self.skeleton = sk
+        self.N = N
+        self.key = key
+        self._hash = hash((N, key))
+        #: x(0), the vertex at the center of the box
+        self.origin: Vertex = sk.edge_map[key[sk.k * N]].range
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Window):
             return NotImplemented
-        return self.N == other.N and self.body == other.body
+        return self.key == other.key and self.N == other.N and self.skeleton == other.skeleton
 
-    @property
-    def skeleton(self) -> Skeleton:
-        return self.body.skeleton
+    def __repr__(self) -> str:
+        return f"Window(N={self.N}, body={self.body!r})"
+
+    def _cells(self) -> _Grid:
+        if self._grid is None:
+            sk, ne = self.skeleton, dv.scaled(self.N, self.skeleton.k)
+            shape = grid_shape(sk, dv.scaled(2 * self.N, sk.k))
+            self._grid = (shape, shape.fill(sk, self.key, ne), dv.zero(sk.k))
+        return self._grid
+
+    def _view(self, center: Degree, n: int) -> "Window":
+        """The radius-n window centred at ``center`` of this one, on its grid."""
+        shape, cells, corner = self._cells()
+        k = self.skeleton.k
+        lo = dv.add(corner, dv.add(center, dv.scaled(self.N - n, k)))
+        mid, hi = dv.add(lo, dv.scaled(n, k)), dv.add(lo, dv.scaled(2 * n, k))
+        key = shape.word(cells, lo, mid) + shape.word(cells, mid, hi)
+        return Window._of(self.skeleton, n, key, (shape, cells, lo))
+
+    def _box(self, m: Degree, n: Degree) -> tuple[Degree, Degree]:
+        """Grid coordinates of the box [m, n], checked against the window."""
+        N = self.N
+        shape, cells, corner = self._cells()
+        lo, hi = [], []
+        for c, a, b in zip(corner, m, n, strict=True):
+            if not -N <= a <= b <= N:
+                raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {N}")
+            lo.append(c + N + a)
+            hi.append(c + N + b)
+        return tuple(lo), tuple(hi)
 
     @cached_property
-    def origin(self) -> Vertex:
-        """x(0), the vertex at the center of the box."""
+    def _nested(self) -> tuple[tuple[str, ...], ...]:
+        """The normal-form words of x(-je, je), j = 1..N, as raw edge ids."""
+        shape, cells, corner = self._cells()
         k = self.skeleton.k
-        ne = dv.scaled(self.N, k)
-        return subblock(self.body, ne, ne).range
+        return tuple(
+            shape.word(
+                cells,
+                dv.add(corner, dv.scaled(self.N - j, k)),
+                dv.add(corner, dv.scaled(self.N + j, k)),
+            )
+            for j in range(1, self.N + 1)
+        )
 
     def extract(self, m: Degree, n: Degree) -> Morphism:
         """x(m, n) for -Ne <= m <= n <= Ne."""
-        k = self.skeleton.k
-        ne = dv.scaled(self.N, k)
-        lo, hi = dv.add(m, ne), dv.add(n, ne)
-        if not (dv.is_nonneg(lo) and dv.leq(lo, hi) and dv.leq(hi, dv.scaled(2 * self.N, k))):
-            raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {self.N}")
-        return subblock(self.body, lo, hi)
+        lo, hi = self._box(m, n)
+        shape, cells, _ = self._cells()
+        return shape.morphism(self.skeleton, cells, lo, hi)
 
     @cached_property
     def past(self) -> Morphism:
-        k = self.skeleton.k
-        return self.extract(dv.scaled(-self.N, k), dv.zero(k))
+        """x(-Ne, 0)."""
+        return self._half(0, self.skeleton.edge_map[self.key[0]].range, self.origin)
 
     @cached_property
     def future(self) -> Morphism:
-        k = self.skeleton.k
-        return self.extract(dv.zero(k), dv.scaled(self.N, k))
+        """x(0, Ne)."""
+        end = self.skeleton.edge_map[self.key[-1]].source
+        return self._half(self.skeleton.k * self.N, self.origin, end)
+
+    def _half(self, start: int, rng: Vertex, src: Vertex) -> Morphism:
+        # a half is a normal-form word of degree Ne: N edges of each color
+        n, sk = self.N, self.skeleton
+        blocks = tuple(self.key[start + c * n : start + (c + 1) * n] for c in range(sk.k))
+        return Morphism(sk, dv.scaled(n, sk.k), blocks, rng, src)
+
+    @cached_property
+    def body(self) -> Morphism:
+        """x(-Ne, Ne) as one morphism of degree 2Ne (set directly on windows
+        built from their body)."""
+        ne = dv.scaled(self.N, self.skeleton.k)
+        return self.extract(dv.neg(ne), ne)
 
     def record(self) -> dict:
         """Serialization: radius, the body word, and the skeleton hash."""
@@ -169,22 +255,11 @@ def sample_window_parry(pd: PerronData, n: int, rng) -> Window:
 
 def shift(w: Window, n: Degree) -> Window:
     """sigma^n at window scale; the radius shrinks to N - max|n_i|."""
-    sk = w.skeleton
-    n = dv.as_degree(n, sk.k)
+    n = dv.as_degree(n, w.skeleton.k)
     norm = dv.norm_max(n)
     if norm > w.N - 1:
         raise RadiusExhausted(f"shift by {n} exhausts a window of radius {w.N}")
-    cache = sk._cache("shift")
-    key = (w.body.word, w.body.source, w.N, n)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n2 = w.N - norm
-    ne2 = dv.scaled(n2, sk.k)
-    body = w.extract(dv.sub(n, ne2), dv.add(n, ne2))
-    out = Window(n2, body)
-    cache[key] = out
-    return out
+    return w._view(n, w.N - norm)
 
 
 def restrict(w: Window, n: int) -> Window:
@@ -193,8 +268,7 @@ def restrict(w: Window, n: int) -> Window:
         raise OutOfBox(f"cannot restrict radius {w.N} to {n}")
     if n == w.N:
         return w
-    ne = dv.scaled(n, w.skeleton.k)
-    return Window(n, w.extract(dv.neg(ne), ne))
+    return w._view(dv.zero(w.skeleton.k), n)
 
 
 @dataclass(frozen=True)
@@ -217,13 +291,11 @@ def distance(x: Window, y: Window, params: MetricParams = MetricParams()) -> Dis
         raise GraphMismatch("windows live over different skeletons")
     if x.origin != y.origin:
         return DistanceResult(h=0, rho=1.0, indistinguishable=False)
-    k = x.skeleton.k
     agree = 0
-    for j in range(1, x.N + 1):
-        je = dv.scaled(j, k)
-        if x.extract(dv.neg(je), je) != y.extract(dv.neg(je), je):
+    for wx, wy in zip(x._nested, y._nested):
+        if wx != wy:
             break
-        agree = j
+        agree += 1
     if agree == x.N:
         return DistanceResult(h=math.inf, rho=0.0, indistinguishable=True)
     h = 1 + agree
@@ -238,13 +310,8 @@ def bracket(x: Window, y: Window) -> Window:
         raise GraphMismatch("windows live over different skeletons")
     if x.origin != y.origin:
         raise NotBracketable(f"origins differ: {x.origin!r} != {y.origin!r}")
-    cache = x.skeleton._cache("bracket")
-    key = (x, y)
-    hit = cache.get(key)
-    if hit is None:
-        hit = Window(x.N, compose(x.past, y.future))
-        cache[key] = hit
-    return hit
+    half = x.skeleton.k * x.N
+    return Window._of(x.skeleton, x.N, x.key[:half] + y.key[half:])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,16 @@ from functools import reduce
 import numpy as np
 
 from . import degrees as dv
-from .core import Morphism, Skeleton, Vertex, _vm, count_morphisms, enumerate_morphisms, subblock
+from .core import (
+    Morphism,
+    Skeleton,
+    Vertex,
+    _vm,
+    count_morphisms,
+    enumerate_morphisms,
+    grid_shape,
+    unit_grid,
+)
 from .degrees import Degree
 from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotIrreducible
 
@@ -318,15 +327,9 @@ _PROBE_CAP = 50_000
 
 
 def _unit_grid(w: Morphism) -> dict[tuple[Degree, int], str]:
-    """Edge id of every unit sub-block; a morphism is determined by this grid."""
-    sk = w.skeleton
-    grid: dict[tuple[Degree, int], str] = {}
-    for c in dv.box(dv.zero(sk.k), w.degree):
-        for i in range(sk.k):
-            top = dv.add(c, dv.unit(i, sk.k))
-            if dv.leq(top, w.degree):
-                grid[(c, i)] = subblock(w, c, top).word[0]
-    return grid
+    """Edge id of every unit sub-block, keyed by (corner, color); a
+    morphism is determined by this grid."""
+    return dict(zip(grid_shape(w.skeleton, w.degree).units, unit_grid(w)))
 
 
 def _invariance(

@@ -262,7 +262,7 @@ def test_normal_form_is_canonical_on_g5(g5_periodic):
 
 
 def test_normal_form_confluence_random_swap_orders(g3, g5_periodic, random_skeletons):
-    from kgraphs.core import _swap_desc
+    from kgraphs.core import _swap
 
     rng = random.Random(11)
     graphs = [g3, g5_periodic] + [sk for sk in random_skeletons if sk.k >= 2]
@@ -288,7 +288,7 @@ def test_normal_form_confluence_random_swap_orders(g3, g5_periodic, random_skele
                 if not spots:
                     break
                 i = rng.choice(spots)
-                trial[i], trial[i + 1] = _swap_desc(sk, trial[i], trial[i + 1])
+                trial[i], trial[i + 1] = _swap(sk, trial[i], trial[i + 1])
             assert tuple(trial) == reference.word
 
 

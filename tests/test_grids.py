@@ -1,0 +1,107 @@
+"""Windows as unit-edge grids, against the word-rewriting oracle.
+
+Every window here is built from a body made by word rewriting
+(`enumerate_morphisms`, `sample_morphism`), and every read off its grid is
+compared with `subblock`/`compose` on that body, which never touch a grid.
+The graphs are g1-g4 and two with non-flip square tables: a random one-vertex
+2-graph and a rank-3 product of one with a 1-graph.
+"""
+
+import random
+
+import pytest
+
+from kgraphs import degrees as dv
+from kgraphs.core import compose, count_morphisms, enumerate_morphisms, sample_morphism, subblock
+from kgraphs.dynamics import all_windows, bracket, distance, make_window, restrict, shift
+
+GRAPHS = ["g1", "g2", "g3", "g4", "flip", "product3"]
+
+
+@pytest.fixture(params=GRAPHS)
+def sk(request, fixture_graphs, random_skeletons):
+    graphs = {**fixture_graphs, "flip": random_skeletons[2], "product3": random_skeletons[4]}
+    assert graphs["product3"].k == 3
+    return graphs[request.param]
+
+
+def _bodies(sk, n, few):
+    """Every body of degree 2ne when there are at most ``few``, else ``few``
+    seeded uniform draws."""
+    d = dv.scaled(2 * n, sk.k)
+    if count_morphisms(sk, d) <= few:
+        return enumerate_morphisms(sk, d)
+    rng = random.Random(n)
+    return [sample_morphism(sk, d, rng) for _ in range(few)]
+
+
+def _few(sk, n):
+    # a rank-3 window has 3375 boxes at radius 2 and 21952 at radius 3
+    return {2: 2, 3: 1}.get(n, 6) if sk.k == 3 else 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extract_matches_subblock(sk, n):
+    ne = dv.scaled(n, sk.k)
+    top = dv.scaled(2 * n, sk.k)
+    for body in _bodies(sk, n, _few(sk, n)):
+        w = make_window(sk, body, n)
+        # bracket(w, w) is w rebuilt from its key alone, filled from the
+        # path through the origin instead of the normal-form staircase
+        rebuilt = bracket(w, w)
+        assert rebuilt == w and hash(rebuilt) == hash(w)
+        for lo in dv.box(dv.zero(sk.k), top):
+            for hi in dv.box(lo, top):
+                want = subblock(body, lo, hi)
+                m, mm = dv.sub(lo, ne), dv.sub(hi, ne)
+                assert w.extract(m, mm) == want, (body, lo, hi)
+                assert rebuilt.extract(m, mm) == want, (body, lo, hi)
+        assert w.past == subblock(body, dv.zero(sk.k), ne)
+        assert w.future == subblock(body, ne, top)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_views_match_fresh_windows(sk, n):
+    k = sk.k
+    ne = dv.scaled(n, k)
+    for body in _bodies(sk, n, 6):
+        w = make_window(sk, body, n)
+        for m in dv.box(dv.scaled(1 - n, k), dv.scaled(n - 1, k)):
+            view = shift(w, m)
+            r = view.N
+            re, centre = dv.scaled(r, k), dv.add(ne, m)
+            fresh = make_window(sk, subblock(body, dv.sub(centre, re), dv.add(centre, re)), r)
+            assert view == fresh and hash(view) == hash(fresh)
+            assert view.body == fresh.body
+            if r > 1:  # a view of a view
+                inner = restrict(view, r - 1)
+                assert inner.body == subblock(fresh.body, dv.ones(k), dv.scaled(2 * r - 1, k))
+        for r in range(1, n + 1):
+            fresh = make_window(sk, subblock(body, dv.scaled(n - r, k), dv.scaled(n + r, k)), r)
+            view = restrict(w, r)
+            assert view == fresh and hash(view) == hash(fresh)
+            assert view.body == fresh.body
+
+
+def test_bracket_is_composition_at_radius_one(sk):
+    e, two = dv.ones(sk.k), dv.scaled(2, sk.k)
+    bodies = _bodies(sk, 1, 64)
+    windows = [make_window(sk, b, 1) for b in bodies]
+    pairs = 0
+    for bx, x in zip(bodies, windows):
+        for by, y in zip(bodies, windows):
+            if x.origin != y.origin:
+                continue
+            want = compose(subblock(bx, dv.zero(sk.k), e), subblock(by, e, two))
+            z = bracket(x, y)
+            assert z.body == want
+            assert z == make_window(sk, want, 1)
+            pairs += 1
+    assert pairs >= len(windows)
+
+
+def test_window_operations_keep_no_per_pair_tables(g3):
+    # shift and bracket are views and key gluing: nothing to memoise
+    x, y = all_windows(g3, 2)[:2]
+    distance(shift(bracket(x, y), (1, 0)), restrict(y, 1))
+    assert not {"shift", "bracket"} & set(g3._memo)
