@@ -3,8 +3,8 @@
 Each check exercises one of the documented invariants on a given skeleton
 and reports pass/fail with a counterexample payload.  Checks that need
 Perron data skip non-irreducible graphs; the mixing check skips graphs
-that are not primitive within the search bound.  Enumerations beyond the
-configured caps fall back to seeded exact-uniform sampling, and the seed
+that are not primitive within the search bound.  Window sweeps beyond
+``WINDOW_CAP`` fall back to seeded exact-uniform sampling, and the seed
 is part of the report, so runs are reproducible.
 """
 
@@ -78,6 +78,14 @@ from .spectral import (
 )
 
 
+#: the most morphisms of one degree that a check enumerates
+ENUMERATION_CAP = 10**6
+#: exhaustive window sweeps switch to sampling above this many windows
+WINDOW_CAP = 600
+#: windows drawn by a sampled sweep of a 1-graph; halved per extra color
+SAMPLE_SIZE = 48
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     tol: float = 1e-12
@@ -85,10 +93,6 @@ class AnalysisConfig:
     radius: int = 2
     metric_r: float = 0.5
     seed: int = 0
-    enumeration_cap: int = 10**6
-    #: exhaustive window sweeps switch to sampling above this many windows
-    window_cap: int = 600
-    sample_size: int = 48
 
     def bound_vec(self, k: int) -> Degree:
         return dv.scaled(self.search_bound, k)
@@ -137,12 +141,12 @@ def _morphisms_upto(sk: Skeleton, top: Degree, cap: int = 10**5) -> list[Morphis
 
 def _suite_windows(sk: Skeleton, n: int, cfg: AnalysisConfig, name: str) -> list[Window]:
     total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total <= cfg.window_cap:
+    if total <= WINDOW_CAP:
         return all_windows(sk, n)
     rng = _rng(cfg, name)
     # higher rank makes every window operation wider; sample fewer, and
     # dedupe so pair sweeps see distinct windows
-    wanted = max(12, cfg.sample_size >> (sk.k - 1))
+    wanted = max(12, SAMPLE_SIZE >> (sk.k - 1))
     drawn = [sample_window(sk, n, rng) for _ in range(wanted)]
     return list(dict.fromkeys(drawn))
 
@@ -156,12 +160,12 @@ def _suite_windows(sk: Skeleton, n: int, cfg: AnalysisConfig, name: str) -> list
 def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     two = dv.scaled(2, sk.k)
     for d in dv.box(dv.zero(sk.k), two):
-        lams = enumerate_morphisms(sk, d, cap=cfg.enumeration_cap)
+        lams = enumerate_morphisms(sk, d, cap=ENUMERATION_CAP)
         for n1 in dv.box(dv.zero(sk.k), d):
             n2 = dv.sub(d, n1)
             hits: dict[Morphism, list[tuple[Morphism, Morphism]]] = {}
-            for p1 in enumerate_morphisms(sk, n1, cap=cfg.enumeration_cap):
-                for p2 in enumerate_morphisms(sk, n2, cap=cfg.enumeration_cap):
+            for p1 in enumerate_morphisms(sk, n1, cap=ENUMERATION_CAP):
+                for p2 in enumerate_morphisms(sk, n2, cap=ENUMERATION_CAP):
                     if p1.source != p2.range:
                         continue
                     hits.setdefault(compose(p1, p2), []).append((p1, p2))
@@ -184,14 +188,21 @@ def check_associativity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
     for d1 in dv.box(dv.zero(sk.k), two):
         for d2 in dv.box(dv.zero(sk.k), dv.sub(two, d1)):
             for d3 in dv.box(dv.zero(sk.k), dv.sub(dv.sub(two, d1), d2)):
-                for m1 in enumerate_morphisms(sk, d1):
-                    for m2 in enumerate_morphisms(sk, d2):
-                        if m1.source != m2.range:
-                            continue
-                        for m3 in enumerate_morphisms(sk, d3):
-                            if m2.source != m3.range:
-                                continue
-                            if compose(compose(m1, m2), m3) != compose(m1, compose(m2, m3)):
+                # the inner composites are formed once per pair, not per triple
+                for m2 in enumerate_morphisms(sk, d2):
+                    lefts = [
+                        (m1, compose(m1, m2))
+                        for m1 in enumerate_morphisms(sk, d1)
+                        if m1.source == m2.range
+                    ]
+                    rights = [
+                        (m3, compose(m2, m3))
+                        for m3 in enumerate_morphisms(sk, d3)
+                        if m2.source == m3.range
+                    ]
+                    for m1, m12 in lefts:
+                        for m3, m23 in rights:
+                            if compose(m12, m3) != compose(m1, m23):
                                 return CheckResult(
                                     name,
                                     "fail",
@@ -681,7 +692,7 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
 def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total > cfg.window_cap:
+    if total > WINDOW_CAP:
         return CheckResult(name, "skip", f"{total} windows exceed the sweep cap")
     windows = all_windows(sk, n)
     seen: dict[tuple[Morphism, Morphism], int] = {}
@@ -883,13 +894,12 @@ def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
         swapped = _tail_eq(ops, dv.neg(m))
         if bool(np.any(direct != swapped)):
             return CheckResult(name, "fail", f"stable/unstable swap fails at m={m}")
+        # the public predicates, directly and through the opposite windows
         ok_direct = _api_cross_check(
-            windows, direct, m,
-            lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm), route="direct"), rng,
+            windows, direct, m, lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm)), rng
         )
         ok_op = _api_cross_check(
-            windows, direct, m,
-            lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm), route="opposite"), rng,
+            ops, direct, dv.neg(m), lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
         )
         if not (ok_direct and ok_op):
             return CheckResult(name, "fail", f"unstable_equiv routes disagree at m={m}")
@@ -901,7 +911,7 @@ def check_semidirect_laws(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
     k = sk.k
     rng = _rng(cfg, name)
     big = cfg.radius + 2
-    if count_morphisms(sk, dv.scaled(2 * big, k)) > cfg.window_cap:
+    if count_morphisms(sk, dv.scaled(2 * big, k)) > WINDOW_CAP:
         windows = [sample_window(sk, big, rng) for _ in range(24)]
     else:
         windows = all_windows(sk, big)

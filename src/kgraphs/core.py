@@ -9,7 +9,8 @@ a k-graph, i.e. gives unique degree-split factorisations on all degrees.
 
 Morphisms are kept in color-normal form: all color-0 edges first, then
 color-1, and so on, composable left to right with the range on the left.
-Composition and factorisation rewrite words through the square tables.
+Composition and factorisation rewrite words through the square tables on
+every call; no result is cached.
 
 Convention: a morphism runs from its source to its range; an edge with
 ``range=v, source=u`` is the step u -> v of a walk.  For 1-graphs this is
@@ -280,23 +281,23 @@ def _normalize_word(sk: Skeleton, word: Sequence[str]) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
-    """A path of the k-graph in color-normal form.
+    """A path of the k-graph, stored as its color-normal word.
 
-    ``blocks[i]`` holds the color-i edge ids in composition order; the word
-    reads from the range end.  Degree-0 morphisms are vertex identities.
+    By unique factorisation a path is fixed by its degree and its
+    normal-form word: the color-0 edge ids first, then the color-1 ones,
+    and so on, each block in composition order, reading from the range end.
+    Degree-0 morphisms are vertex identities, with the empty word.
     """
 
     skeleton: Skeleton = field(repr=False)
     degree: Degree
-    blocks: tuple[tuple[str, ...], ...]
+    word: tuple[str, ...]
     range: Vertex
     source: Vertex
 
     def __post_init__(self) -> None:
-        word = tuple(eid for block in self.blocks for eid in block)
-        object.__setattr__(self, "word", word)
         object.__setattr__(
-            self, "_hash", hash((self.degree, word, self.range, self.source))
+            self, "_hash", hash((self.degree, self.word, self.range, self.source))
         )
 
     def __hash__(self) -> int:
@@ -309,7 +310,7 @@ class Morphism:
             return NotImplemented
         return (
             self.degree == other.degree
-            and self.blocks == other.blocks
+            and self.word == other.word
             and self.range == other.range
             and self.source == other.source
             and self.skeleton == other.skeleton
@@ -326,17 +327,17 @@ class Morphism:
 
 def _from_normal_word(sk: Skeleton, word: Sequence[str], rng: Vertex, src: Vertex) -> Morphism:
     # trusted fast path: word already color-sorted and composable
-    blocks: list[list[str]] = [[] for _ in range(sk.k)]
+    degree = [0] * sk.k
+    colors = sk.color_of
     for eid in word:
-        blocks[sk.color_of[eid]].append(eid)
-    degree = tuple(len(b) for b in blocks)
-    return Morphism(sk, degree, tuple(tuple(b) for b in blocks), rng, src)
+        degree[colors[eid]] += 1
+    return Morphism(sk, tuple(degree), tuple(word), rng, src)
 
 
 def identity(sk: Skeleton, v: Vertex) -> Morphism:
     if v not in sk.vertices:
         raise MalformedSkeleton(f"unknown vertex {v!r}")
-    return Morphism(sk, dv.zero(sk.k), ((),) * sk.k, v, v)
+    return Morphism(sk, dv.zero(sk.k), (), v, v)
 
 
 def make_morphism(sk: Skeleton, edge_ids: Sequence[str], vertex: Vertex | None = None) -> Morphism:
@@ -481,15 +482,8 @@ def compose(mu: Morphism, nu: Morphism) -> Morphism:
     if mu.source != nu.range:
         raise NotComposable(f"s({mu!r}) = {mu.source!r} != r({nu!r}) = {nu.range!r}")
     sk = mu.skeleton
-    cache = sk._cache("compose")
-    key = (mu.word, mu.source, nu.word, nu.source)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    word = _normalize_word(sk, list(mu.word) + list(nu.word))
-    out = _from_normal_word(sk, word, mu.range, nu.source)
-    cache[key] = out
-    return out
+    word = _normalize_word(sk, mu.word + nu.word)
+    return Morphism(sk, dv.add(mu.degree, nu.degree), tuple(word), mu.range, nu.source)
 
 
 def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
@@ -510,22 +504,13 @@ def factorize(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism
     n2 = dv.as_degree(n2, sk.k)
     if not (dv.is_nonneg(n1) and dv.is_nonneg(n2)) or dv.add(n1, n2) != lam.degree:
         raise DegreeMismatch(f"{n1} + {n2} != d(lam) = {lam.degree}")
-    cache = sk._cache("factorize")
-    key = (lam.word, lam.source, n1)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     word = list(lam.word)
-    head: list[str] = []
-    for c in range(sk.k):
-        for _ in range(n1[c]):
-            head.append(_peel_color(sk, word, c))
+    head = [_peel_color(sk, word, c) for c, _ in _peel(n1)]
     mid = lam.range if not head else sk.edge_map[head[-1]].source
-    nu1 = _from_normal_word(sk, head, lam.range, mid)
-    nu2 = _from_normal_word(sk, word, mid, lam.source)
-    out = (nu1, nu2)
-    cache[key] = out
-    return out
+    return (
+        Morphism(sk, n1, tuple(head), lam.range, mid),
+        Morphism(sk, n2, tuple(word), mid, lam.source),
+    )
 
 
 def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
@@ -535,14 +520,8 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
     b = dv.as_degree(b, sk.k)
     if not (dv.is_nonneg(a) and dv.leq(a, b) and dv.leq(b, lam.degree)):
         raise DegreeMismatch(f"box [{a}, {b}] does not sit inside [0, {lam.degree}]")
-    cache = sk._cache("subblock")
-    key = (lam.word, lam.source, a, b)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     _, tail = factorize(lam, a, dv.sub(lam.degree, a))
     mid, _ = factorize(tail, dv.sub(b, a), dv.sub(lam.degree, b))
-    cache[key] = mid
     return mid
 
 
@@ -670,14 +649,12 @@ class GridShape:
 
     def morphism(self, sk: Skeleton, cells: Sequence[str], a: Degree, b: Degree) -> Morphism:
         """x(a, b), read off a grid of this shape."""
-        blocks = tuple(tuple(cells[slot] for slot in block) for block in self.staircase(a, b))
-        first = next((block[0] for block in blocks if block), None)
-        if first is None:
-            rng = src = self.vertex(sk, cells, a)
+        word = self.word(cells, a, b)
+        if word:
+            rng, src = sk.edge_map[word[0]].range, sk.edge_map[word[-1]].source
         else:
-            last = next(block[-1] for block in reversed(blocks) if block)
-            rng, src = sk.edge_map[first].range, sk.edge_map[last].source
-        return Morphism(sk, dv.sub(b, a), blocks, rng, src)
+            rng = src = self.vertex(sk, cells, a)
+        return Morphism(sk, dv.sub(b, a), word, rng, src)
 
 
 def grid_shape(sk: Skeleton, d: Degree) -> GridShape:

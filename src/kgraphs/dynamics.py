@@ -179,9 +179,8 @@ class Window:
 
     def _half(self, start: int, rng: Vertex, src: Vertex) -> Morphism:
         # a half is a normal-form word of degree Ne: N edges of each color
-        n, sk = self.N, self.skeleton
-        blocks = tuple(self.key[start + c * n : start + (c + 1) * n] for c in range(sk.k))
-        return Morphism(sk, dv.scaled(n, sk.k), blocks, rng, src)
+        sk, size = self.skeleton, self.skeleton.k * self.N
+        return Morphism(sk, dv.scaled(self.N, sk.k), self.key[start : start + size], rng, src)
 
     @cached_property
     def body(self) -> Morphism:

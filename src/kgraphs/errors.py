@@ -37,6 +37,10 @@ class NoPositiveCombination(KGraphError):
     """No entrywise-positive sum of vertex matrices found within bound."""
 
 
+class NotConverged(KGraphError):
+    """Power iteration did not reach the residual tolerance."""
+
+
 class NotPrimitive(KGraphError):
     """Mixing-lag computation requires a primitive graph."""
 

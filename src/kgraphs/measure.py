@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degrees as dv
-from .core import Morphism, compose, enumerate_morphisms, identity, subblock
+from .core import Morphism, compose, enumerate_morphisms, factorize, identity
 from .degrees import Degree
 from .errors import DegreeMismatch, OutOfBox
 from .spectral import PerronData
@@ -148,18 +148,18 @@ def fiber_measure(pd: PerronData, p: Degree, z: Morphism, cyl: CylinderSet) -> f
     need = dv.sub(box_hi, p)
     if not dv.leq(need, z.degree):
         raise OutOfBox(f"window of degree {z.degree} cannot cover depth {need}")
-    z_part = subblock(z, dv.zero(sk.k), need)
+    z_part, _ = factorize(z, need, dv.sub(z.degree, need))
+    posts = [m for m in enumerate_morphisms(sk, dv.sub(box_hi, n1)) if m.range == lam.source]
+    skip = dv.sub(p, box_lo)
     total = 0.0
     weight = pd.t_power(box_lo)
     for pre in enumerate_morphisms(sk, dv.sub(n0, box_lo)):
         if pre.source != lam.range:
             continue
         left = compose(pre, lam)
-        for post in enumerate_morphisms(sk, dv.sub(box_hi, n1)):
-            if post.range != lam.source:
-                continue
+        for post in posts:
             ext = compose(left, post)
-            future = subblock(ext, dv.sub(p, box_lo), dv.sub(box_hi, box_lo))
+            _, future = factorize(ext, skip, need)
             if future == z_part:
                 total += weight * pd.a[ext.range]
     return total

@@ -2,9 +2,11 @@
 
 Every predicate quantifies only over boxes inside the window; a True
 answer certifies membership of common extensions up to the box and
-nothing beyond it.  The unstable relation can be evaluated directly or
-by transporting both windows through the opposite-graph involution and
-asking the stable question there; the two routes agree.
+nothing beyond it.  The unstable relation is the stable one seen through
+the opposite-graph involution: (x, y) agree on every box ending at m
+exactly when (x^op, y^op) agree on every box starting at -m.  The suite
+checks ``unstable_equiv`` against ``stable_equiv`` on ``window_op``
+windows.
 """
 
 from __future__ import annotations
@@ -55,22 +57,16 @@ def stable_equiv(q: RelationQuery) -> bool:
     return q.x.extract(m, ne) == q.y.extract(m, ne)
 
 
-def unstable_equiv(q: RelationQuery, route: str = "direct") -> bool:
+def unstable_equiv(q: RelationQuery) -> bool:
     """Agreement on every box [m, n] with n <= q.m (here q.m is the right
-    endpoint).  route='opposite' computes it as a stable question about
-    the reversed windows."""
+    endpoint).  Equivalent to agreement of the single maximal block
+    x(-Ne, q.m), by nested-extraction consistency."""
     _check_pair(q.x, q.y)
     k = q.x.skeleton.k
     n0 = dv.as_degree(q.m, k)
     _check_in_box(n0, q.x.N, k)
-    if route == "direct":
-        ne = dv.scaled(q.x.N, k)
-        return q.x.extract(dv.neg(ne), n0) == q.y.extract(dv.neg(ne), n0)
-    if route == "opposite":
-        return stable_equiv(
-            RelationQuery(window_op(q.x), window_op(q.y), dv.neg(n0))
-        )
-    raise ValueError(f"route must be 'direct' or 'opposite', got {route!r}")
+    ne = dv.scaled(q.x.N, k)
+    return q.x.extract(dv.neg(ne), n0) == q.y.extract(dv.neg(ne), n0)
 
 
 def asymptotic_equiv(x: Window, y: Window, m: Degree) -> bool:
@@ -97,12 +93,7 @@ def restriction_map(x: Window) -> Morphism:
 def window_op(w: Window) -> Window:
     """The involution x -> x^op: x^op(m, n) = x(-n, -m) reversed, over the
     opposite skeleton."""
-    cache = w.skeleton._cache("window_op")
-    hit = cache.get(w)
-    if hit is None:
-        hit = Window(w.N, opposite_morphism(w.body))
-        cache[w] = hit
-    return hit
+    return Window(w.N, opposite_morphism(w.body))
 
 
 # ---------------------------------------------------------------------------

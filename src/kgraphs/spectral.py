@@ -26,7 +26,7 @@ from .core import (
     unit_grid,
 )
 from .degrees import Degree
-from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotIrreducible
+from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotConverged, NotIrreducible
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -200,7 +200,7 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 200_000) -> tupl
         if resid <= tol:
             return v / np.abs(v).max(), resid
         v = w / np.abs(w).max()
-    raise ArithmeticError(f"power iteration did not reach residual {tol}")
+    raise NotConverged(f"power iteration did not reach residual {tol}")
 
 
 def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:

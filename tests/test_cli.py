@@ -1,6 +1,7 @@
 """Document parsing, report rendering, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from kgraphs.cli import main, parse_document, parse_spec, render_value, run
 from kgraphs.errors import MalformedSkeleton, ParseError
 
 from conftest import FIXTURES
+from randgraphs import random_1graph
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +208,21 @@ def test_bad_inputs_are_input_violations(name, mutate, overrides):
     report = run("dynamics", json.dumps(doc), overrides)
     assert report.exit_code == 2
     assert [v["kind"] for v in report.violations] == ["input"]
+
+
+def test_spectral_reports_a_stalled_power_iteration():
+    # the positive combination of this graph has spectral radius near 6e3,
+    # where the absolute residual 1e-12 lies below float64 resolution; the
+    # outcome is a report, not a traceback, whether or not it converges
+    sk = random_1graph(random.Random(40), 40, 40)
+    doc = {
+        "k": 1,
+        "vertices": list(sk.vertices),
+        "edges": [
+            {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
+            for e in sk.edges
+        ],
+        "squares": [],
+    }
+    report = run("spectral", json.dumps(doc))
+    assert report.exit_code in (0, 1), report.violations

@@ -31,6 +31,7 @@ from kgraphs.errors import (
     NotComposable,
     RankMismatch,
 )
+from kgraphs.dynamics import all_windows
 from kgraphs.spectral import vertex_matrix
 
 
@@ -182,7 +183,7 @@ def test_compose_swaps_through_the_square(g3):
     b1 = make_morphism(g3, ["b1"])
     out = compose(r2, b1)
     # the flip table pairs (b1, r2) with (r2, b1), so r2*b1 = b1*r2
-    assert out.blocks == (("b1",), ("r2",))
+    assert out.word == ("b1", "r2")
     assert out.degree == (1, 1)
 
 
@@ -317,6 +318,49 @@ def test_sample_morphism_uniform(g1):
         counts[m.word] = counts.get(m.word, 0) + 1
     assert set(counts) == set(itertools.product("ab", repeat=2))
     assert all(380 <= c <= 620 for c in counts.values())
+
+
+def _walk(sk, v, length, rng):
+    """A composable word of ``length`` edges from the range end at v, its
+    colors in random order."""
+    word = []
+    for _ in range(length):
+        e = rng.choice([e for c in range(sk.k) for e in sk.edges_with_range(v, c)])
+        word.append(e.id)
+        v = e.source
+    return word
+
+
+def test_a_morphism_is_its_normal_word(fixture_graphs, random_skeletons):
+    # whichever way a path is built, its word is color-sorted, its degree
+    # counts the colors of the word, and (word, range, source) alone decide
+    # equality and hash
+    rng = random.Random(5)
+    assert random_skeletons[4].k == 3
+    for sk in [*fixture_graphs.values(), random_skeletons[4]]:
+        zero, e, two = dv.zero(sk.k), dv.ones(sk.k), dv.scaled(2, sk.k)
+        pool = enumerate_morphisms(sk, zero) + enumerate_morphisms(sk, e)
+        bodies = [sample_morphism(sk, two, rng) for _ in range(3)]
+        made = pool + bodies
+        made += [make_morphism(sk, _walk(sk, v, 3 * sk.k, rng)) for v in sk.vertices]
+        made += [compose(a, b) for a in pool for b in pool if a.source == b.range]
+        for lam in bodies:
+            for a in dv.box(zero, two):
+                made += factorize(lam, a, dv.sub(two, a))
+                made += [subblock(lam, a, b) for b in dv.box(a, two)]
+        for w in all_windows(sk, 1)[:4]:
+            made += [w.past, w.future]
+            made += [w.extract(lo, hi) for lo in dv.box(dv.neg(e), e) for hi in dv.box(lo, e)]
+        ops = [opposite_morphism(m) for m in made]
+        made += ops + [opposite_morphism(m) for m in ops]
+        first = {}
+        for m in made:
+            colors = [m.skeleton.color_of[eid] for eid in m.word]
+            assert colors == sorted(colors), m
+            assert m.degree == tuple(colors.count(c) for c in range(sk.k)), m
+            same = first.setdefault((m.skeleton, m.word, m.range, m.source), m)
+            assert m == same and hash(m) == hash(same)
+        assert len(set(made)) == len(first) < len(made)
 
 
 # ---------------------------------------------------------------------------

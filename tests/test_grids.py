@@ -12,7 +12,15 @@ import random
 import pytest
 
 from kgraphs import degrees as dv
-from kgraphs.core import compose, count_morphisms, enumerate_morphisms, sample_morphism, subblock
+from kgraphs.checks import AnalysisConfig, run_suite
+from kgraphs.core import (
+    compose,
+    count_morphisms,
+    enumerate_morphisms,
+    opposite_graph,
+    sample_morphism,
+    subblock,
+)
 from kgraphs.dynamics import all_windows, bracket, distance, make_window, restrict, shift
 
 GRAPHS = ["g1", "g2", "g3", "g4", "flip", "product3"]
@@ -100,8 +108,14 @@ def test_bracket_is_composition_at_radius_one(sk):
     assert pairs >= len(windows)
 
 
-def test_window_operations_keep_no_per_pair_tables(g3):
+def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons):
     # shift and bracket are views and key gluing: nothing to memoise
     x, y = all_windows(g3, 2)[:2]
     distance(shift(bracket(x, y), (1, 0)), restrict(y, 1))
     assert not {"shift", "bracket"} & set(g3._memo)
+    # a whole suite leaves only tables keyed by degree (vertex matrices,
+    # grid shapes), the opposite graph and the shared Perron data
+    for sk in (g3, random_skeletons[4]):
+        assert not [r for r in run_suite(sk, AnalysisConfig()) if r.failed]
+        for held in (sk, opposite_graph(sk)):
+            assert set(held._memo) <= {"vm", "grid", "opposite", "suite"}
