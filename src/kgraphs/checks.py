@@ -412,30 +412,26 @@ def check_expansion(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult
 
 @_check("measure-product-decomposition")
 def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+    """mu(Z(v)) = (stable mass of Lambda^2e ending at v) x (unstable mass of
+    Lambda^2e leaving v).  The pairwise product identity holds by algebra
+    once compose is right, which factorization-uniqueness and associativity
+    check."""
     cc, pd = _shared_perron(sk, cfg)
     if pd is None:
         return CheckResult(name, "skip", "not irreducible")
-    halves = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=2000)
+    two = dv.scaled(2, sk.k)
+    total = count_morphisms(sk, two)
+    if total > ENUMERATION_CAP:
+        return CheckResult(name, "skip", f"|Lambda^{two}| = {total} exceeds the enumeration cap")
+    stable = dict.fromkeys(sk.vertices, 0.0)
+    unstable = dict.fromkeys(sk.vertices, 0.0)
+    for lam in enumerate_morphisms(sk, two, cap=ENUMERATION_CAP):
+        stable[lam.source] += conditional_measure(pd, "stable", lam).value
+        unstable[lam.range] += conditional_measure(pd, "unstable", lam).value
     for v in sk.vertices:
-        pasts = [m for m in halves if m.source == v]
-        futures = [m for m in halves if m.range == v]
-        box_mass = 0.0
-        for lam_m in pasts:
-            for lam_p in futures:
-                whole = compose(lam_m, lam_p)
-                mu = parry_measure(pd, CylinderSet(whole, dv.neg(lam_m.degree))).value
-                split = (
-                    conditional_measure(pd, "stable", lam_m).value
-                    * conditional_measure(pd, "unstable", lam_p).value
-                )
-                if abs(mu - split) > _TOL_MEASURE:
-                    return CheckResult(
-                        name, "fail", f"mu != mu_s x mu_u at {lam_m!r}|{lam_p!r}"
-                    )
-                if lam_m.degree == lam_p.degree == dv.scaled(2, sk.k):
-                    box_mass += split
+        box_mass = stable[v] * unstable[v]
         expect = parry_measure(pd, CylinderSet(identity(sk, v), dv.zero(sk.k))).value
-        if pasts and futures and abs(box_mass - expect) > _TOL_MEASURE:
+        if abs(box_mass - expect) > _TOL_MEASURE:
             return CheckResult(name, "fail", f"fiber masses at {v!r} sum to {box_mass}")
     return CheckResult(name, "pass")
 
@@ -769,11 +765,13 @@ def _head_eq(windows: list[Window], n0: Degree) -> "np.ndarray":
 
 
 def _api_cross_check(
-    windows: list[Window], eq: "np.ndarray", m: Degree, predicate, rng: random.Random
+    windows: list[Window], sweeps: list[tuple[Degree, "np.ndarray"]], predicate, rng: random.Random
 ) -> bool:
-    """The sweeps compare interned blocks; spot-check the public predicate."""
+    """The sweeps compare interned blocks; spot-check the public predicate
+    on seeded draws of (offset, i, j) over the (offset, eq) sweeps given."""
     n = len(windows)
-    for _ in range(min(120, n * n)):
+    for _ in range(min(120, len(sweeps) * n * n)):
+        m, eq = rng.choice(sweeps)
         i, j = rng.randrange(n), rng.randrange(n)
         if predicate(windows[i], windows[j], m) != bool(eq[i, j]):
             return False
@@ -794,7 +792,7 @@ def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
     rng = _rng(cfg, name + "-api")
     for m in (dv.neg(one), dv.zero(k), one):
         if not _api_cross_check(
-            windows, eq[m], m, lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
+            windows, [(m, eq[m])], lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
         ):
             return CheckResult(name, "fail", f"stable_equiv disagrees with sweep at {m}")
     return CheckResult(name, "pass", f"{len(windows)} windows")
@@ -821,6 +819,7 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
         shifted = [shift(w, m) for w in windows]
         aligned = m == dv.scaled(m[0], k) and m[0] >= 0
         inner = dv.scaled(shifted[0].N, k)
+        sweeps = []
         for nn in dv.box(dv.neg(inner), inner):
             lhs = tail[dv.add(m, nn)]
             rhs = _tail_eq(shifted, nn)
@@ -828,10 +827,11 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) does not map into G_(s,{nn})")
             if aligned and bool(np.any(lhs != rhs)):
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) mismatch under sigma^{m}")
-            if not _api_cross_check(
-                shifted, rhs, nn, lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
-            ):
-                return CheckResult(name, "fail", "stable_equiv disagrees on shifted pairs")
+            sweeps.append((nn, rhs))
+        if not _api_cross_check(
+            shifted, sweeps, lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
+        ):
+            return CheckResult(name, "fail", "stable_equiv disagrees on shifted pairs")
     return CheckResult(name, "pass")
 
 
@@ -873,7 +873,7 @@ def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
         if bool(np.any(both != asym)):
             return CheckResult(name, "fail", f"asymptotic != stable and unstable at {m}")
         if not _api_cross_check(
-            windows, asym, m, lambda x, y, mm: asymptotic_equiv(x, y, mm), rng
+            windows, [(m, asym)], lambda x, y, mm: asymptotic_equiv(x, y, mm), rng
         ):
             return CheckResult(name, "fail", f"asymptotic_equiv disagrees with sweep at {m}")
     return CheckResult(name, "pass")
@@ -896,10 +896,10 @@ def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
             return CheckResult(name, "fail", f"stable/unstable swap fails at m={m}")
         # the public predicates, directly and through the opposite windows
         ok_direct = _api_cross_check(
-            windows, direct, m, lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm)), rng
+            windows, [(m, direct)], lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm)), rng
         )
         ok_op = _api_cross_check(
-            ops, direct, dv.neg(m), lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
+            ops, [(dv.neg(m), direct)], lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
         )
         if not (ok_direct and ok_op):
             return CheckResult(name, "fail", f"unstable_equiv routes disagree at m={m}")

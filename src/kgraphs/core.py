@@ -696,12 +696,6 @@ def validate_skeleton(sk: Skeleton) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def require_valid(sk: Skeleton) -> None:
-    report = validate_skeleton(sk)
-    if not report.ok:
-        raise ValidationFailure("; ".join(v.message for v in report.violations))
-
-
 def _check_square_pair(sk: Skeleton, i: int, j: int, out: list[Violation]) -> bool:
     domain = {
         (f.id, g.id)

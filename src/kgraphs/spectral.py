@@ -50,9 +50,6 @@ class VertexMatrix:
     def is_positive(self) -> bool:
         return all(x > 0 for row in self.entries for x in row)
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
     def column_sums(self) -> dict[Vertex, int]:
         n = len(self.vertices)
         return {
@@ -129,12 +126,18 @@ def classify_connectivity(sk: Skeleton, search_bound: Degree) -> ConnectivityCla
     if not dv.leq(dv.ones(sk.k), bound):
         raise DegreeMismatch(f"search bound {bound} must be >= e")
     irreducible = _is_irreducible(sk)
-    positive = {
-        m
-        for m in dv.box(dv.zero(sk.k), bound)
-        if not dv.is_zero(m) and vertex_matrix(sk, m).is_positive()
-    }
-    if not positive:
+    # m qualifies when |Lambda^m| > 0 on every degree of [m, bound], which is
+    # m together with the boxes [m + e_i, bound]: a pass in reverse
+    # lexicographic order decides m from its upper neighbours, and a
+    # neighbour past the bound is absent from the table and imposes nothing
+    units = [dv.unit(i, sk.k) for i in range(sk.k)]
+    qualifies: dict[Degree, bool] = {}
+    for m in reversed(list(dv.box(dv.zero(sk.k), bound))[1:]):  # [1:] drops 0
+        qualifies[m] = all(qualifies.get(dv.add(m, u), True) for u in units) and (
+            vertex_matrix(sk, m).is_positive()
+        )
+    candidates = [m for m, ok in qualifies.items() if ok]
+    if not candidates:
         return ConnectivityClass(
             irreducible=irreducible,
             primitive=False,
@@ -142,11 +145,6 @@ def classify_connectivity(sk: Skeleton, search_bound: Degree) -> ConnectivityCla
             inconclusive=irreducible,
             search_bound=bound,
         )
-    candidates = [
-        m
-        for m in positive
-        if all(mm in positive for mm in dv.box(m, bound) if not dv.is_zero(mm))
-    ]
     threshold = min(candidates, key=lambda m: (dv.norm_max(m), dv.total(m), m))
     return ConnectivityClass(
         irreducible=irreducible,

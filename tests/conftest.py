@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from kgraphs.checks import AnalysisConfig, CheckResult, run_suite
 from kgraphs.cli import parse_spec
 from kgraphs.core import ColoredEdge, Skeleton, SquareRule
 
@@ -66,6 +67,13 @@ def fixture_graphs(g1, g2, g3, g4) -> dict[str, Skeleton]:
 @pytest.fixture(scope="session")
 def random_skeletons() -> list[Skeleton]:
     return make_random_skeletons(seed=7)
+
+
+@pytest.fixture(scope="session")
+def random_suites(random_skeletons) -> list[list[CheckResult]]:
+    """The `run_suite` results on each random skeleton, default config; the
+    rank-3 suite is the slowest in tier-1, so it runs once per session."""
+    return [run_suite(sk, AnalysisConfig()) for sk in random_skeletons]
 
 
 @pytest.fixture(scope="session")

@@ -12,13 +12,14 @@ from kgraphs.checks import (
     check_bracket_uniqueness,
     check_contraction,
     check_expansiveness,
+    check_factorization_uniqueness,
     check_fibered_product,
     check_opposite_swap,
     check_shift_conjugation,
     check_stable_nesting,
 )
 from kgraphs.cli import run
-from kgraphs.core import compose, enumerate_morphisms, factorize
+from kgraphs.core import compose, enumerate_morphisms
 from kgraphs.dynamics import mixing_lag
 from kgraphs.measure import (
     CylinderSet,
@@ -65,20 +66,8 @@ def _irreducible(test_graphs):
 def test_criterion_01_factorization(test_graphs):
     def body():
         for sk in test_graphs:
-            for d in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
-                lams = enumerate_morphisms(sk, d)
-                for n1 in dv.box(dv.zero(sk.k), d):
-                    n2 = dv.sub(d, n1)
-                    hits = {}
-                    for p1 in enumerate_morphisms(sk, n1):
-                        for p2 in enumerate_morphisms(sk, n2):
-                            if p1.source == p2.range:
-                                hits.setdefault(compose(p1, p2), []).append((p1, p2))
-                    for lam in lams:
-                        assert len(hits[lam]) == 1, f"non-unique split of {lam!r}"
-                        pair = factorize(lam, n1, n2)
-                        assert pair == hits[lam][0]
-                        assert compose(*pair) == lam
+            res = check_factorization_uniqueness(sk, AnalysisConfig())
+            assert res.status == "pass", res.detail
 
     _criterion(1, "factorization round-trip and uniqueness", 10.0, body)
 

@@ -1,11 +1,16 @@
 """The battery checks fail when what they test is broken.
 
-Each test swaps a wrong variant of a window operation into `kgraphs.checks`
-and asserts that the check reports `fail`, so the class-reduced and hoisted
-sweeps keep the power of the pair-by-pair loops they replace.
+Each test swaps a wrong variant of a window operation, relation predicate
+or measure evaluator into `kgraphs.checks` and asserts that the check
+reports `fail`, so the class-reduced, hoisted and reduced checks keep the
+power of the loops they replace.
 """
 
+import random
+from dataclasses import replace
+
 from kgraphs import checks
+from kgraphs import degrees as dv
 from kgraphs.core import (
     Skeleton,
     SquareRule,
@@ -16,6 +21,10 @@ from kgraphs.core import (
 )
 from kgraphs.dynamics import bracket, shift
 from kgraphs.errors import NotBracketable
+from kgraphs.measure import conditional_measure
+from kgraphs.relations import stable_equiv
+
+from randgraphs import random_flip_2graph
 
 CFG = checks.AnalysisConfig()
 
@@ -84,3 +93,48 @@ def test_run_suite_names_a_raising_check_by_its_report_name(g3, monkeypatch):
         ("bracket-axioms", "fail"),
     ]
     assert results[1].detail == "NotBracketable: no bracket today"
+
+
+def test_product_decomposition_catches_a_stable_mass_read_at_the_source(g2, monkeypatch):
+    # a(s(lam)) in place of a(r(lam)): the box masses at each vertex of the
+    # two-vertex golden-mean graph no longer multiply to mu(Z(v))
+    def wrong(pd, side, lam):
+        right = conditional_measure(pd, side, lam)
+        if side != "stable":
+            return right
+        return replace(right, value=pd.t_power(dv.neg(lam.degree)) * pd.a[lam.source])
+
+    monkeypatch.setattr(checks, "conditional_measure", wrong)
+    result = checks.check_product_decomposition(g2, CFG)
+    assert result.status == "fail"
+    assert result.detail.startswith("fiber masses at")
+
+
+def test_product_decomposition_reaches_degree_2e_on_a_large_flip_graph(monkeypatch):
+    # 49 loop pairs: the box of degree 2e holds 7^4 paths
+    sk = random_flip_2graph(random.Random(1), 7, 7)
+    assert checks.check_product_decomposition(sk, CFG).status == "pass"
+    monkeypatch.setattr(checks, "ENUMERATION_CAP", 7**4 - 1)
+    result = checks.check_product_decomposition(sk, CFG)
+    assert (result.status, result.detail) == (
+        "skip",
+        "|Lambda^(2, 2)| = 2401 exceeds the enumeration cap",
+    )
+
+
+def test_shift_conjugation_catches_a_stable_equiv_wrong_only_on_shifted_windows(g3, monkeypatch):
+    # right on the radius-N windows, which stable-nesting samples
+    def wrong(q):
+        return stable_equiv(q) != (q.x.N < CFG.radius)
+
+    monkeypatch.setattr(checks, "stable_equiv", wrong)
+    assert checks.check_stable_nesting(g3, CFG).status == "pass"
+    result = checks.check_shift_conjugation(g3, CFG)
+    assert (result.status, result.detail) == ("fail", "stable_equiv disagrees on shifted pairs")
+
+
+def test_shift_conjugation_catches_a_shift_that_moves_the_wrong_way(g3, monkeypatch):
+    monkeypatch.setattr(checks, "shift", lambda w, m: shift(w, dv.neg(m)))
+    result = checks.check_shift_conjugation(g3, CFG)
+    assert result.status == "fail"
+    assert result.detail.startswith("G_(s,")

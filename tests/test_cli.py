@@ -166,11 +166,8 @@ def test_spectral_flags_reducible_graph():
     assert report.results["connectivity"]["irreducible"] is False
 
 
-def test_suite_passes_on_random_skeletons(random_skeletons):
-    from kgraphs.checks import AnalysisConfig, run_suite
-
-    for sk in random_skeletons:
-        results = run_suite(sk, AnalysisConfig())
+def test_suite_passes_on_random_skeletons(random_suites):
+    for results in random_suites:
         fails = [r for r in results if r.failed]
         assert not fails, [(r.name, r.detail) for r in fails]
 

@@ -313,9 +313,12 @@ def test_mixing_needs_primitive():
         (ColoredEdge("e", 0, "v", "u"), ColoredEdge("f", 0, "u", "v")),
         (),
     )
-    z = CylinderSet(identity(two_cycle, "u"), (0,))
-    with pytest.raises(NotPrimitive):
-        mixing_lag(two_cycle, z, z)
+    # positive degrees (i, 0), but no box above one stays positive
+    blue_loop = Skeleton(2, ("u",), (ColoredEdge("b", 0, "u", "u"),), ())
+    for sk in (two_cycle, blue_loop):
+        z = CylinderSet(identity(sk, "u"), dv.zero(sk.k))
+        with pytest.raises(NotPrimitive):
+            mixing_lag(sk, z, z)
 
 
 def test_mixing_lag_random_pairs(g1, g2):

@@ -108,14 +108,15 @@ def test_bracket_is_composition_at_radius_one(sk):
     assert pairs >= len(windows)
 
 
-def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons):
+def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons, random_suites):
     # shift and bracket are views and key gluing: nothing to memoise
     x, y = all_windows(g3, 2)[:2]
     distance(shift(bracket(x, y), (1, 0)), restrict(y, 1))
     assert not {"shift", "bracket"} & set(g3._memo)
     # a whole suite leaves only tables keyed by degree (vertex matrices,
     # grid shapes), the opposite graph and the shared Perron data
-    for sk in (g3, random_skeletons[4]):
-        assert not [r for r in run_suite(sk, AnalysisConfig()) if r.failed]
+    suites = [(g3, run_suite(g3, AnalysisConfig())), (random_skeletons[4], random_suites[4])]
+    for sk, results in suites:
+        assert not [r for r in results if r.failed]
         for held in (sk, opposite_graph(sk)):
             assert set(held._memo) <= {"vm", "grid", "opposite", "suite"}

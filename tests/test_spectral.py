@@ -32,6 +32,13 @@ def two_cycle():
 
 
 @pytest.fixture(scope="module")
+def blue_loop():
+    """One vertex, one blue loop and no red edge: a 2-graph with paths of
+    degree (i, 0) only."""
+    return Skeleton(2, ("v",), (ColoredEdge("b", 0, "v", "v"),), ())
+
+
+@pytest.fixture(scope="module")
 def split_graph():
     """Two disjoint loops: not irreducible."""
     return Skeleton(
@@ -125,6 +132,13 @@ def test_classify_split_graph(split_graph):
     cc = classify_connectivity(split_graph, (8,))
     assert not cc.irreducible
     assert not cc.primitive and not cc.inconclusive
+
+
+def test_classify_positive_degrees_that_never_stay_positive(blue_loop):
+    # |Lambda^(i,0)| = 1 but every box above (i, 0) holds a red degree
+    cc = classify_connectivity(blue_loop, (8, 8))
+    assert cc.irreducible
+    assert not cc.primitive and cc.threshold is None and cc.inconclusive
 
 
 def test_classify_needs_bound_at_least_e(g1):
