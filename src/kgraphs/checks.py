@@ -11,6 +11,7 @@ is part of the report, so runs are reproducible.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ from . import degrees as dv
 from .core import (
     Morphism,
     Skeleton,
+    _box_table,
+    _generator_matrix,
+    _mat_mul,
     _swap,
     compose,
     count_morphisms,
@@ -69,8 +73,7 @@ from .relations import (
     window_op,
 )
 from .spectral import (
-    _generator_matrix,
-    _mat_mul,
+    VertexMatrix,
     af_multiplicities,
     classify_connectivity,
     perron_data,
@@ -264,8 +267,10 @@ def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig, name: str) -> C
     op = opposite_graph(sk)
     if not validate_skeleton(op).ok:
         return CheckResult(name, "fail", "opposite skeleton is not valid")
-    for p in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
-        if vertex_matrix(op, p).entries != vertex_matrix(sk, p).transpose().entries:
+    two = dv.scaled(2, sk.k)
+    table = _box_table(sk, two)
+    for p, entries in _box_table(op, two).items():
+        if entries != tuple(zip(*table[p])):
             return CheckResult(name, "fail", f"|Lambda_op^{p}| is not the transpose")
     return CheckResult(name, "pass")
 
@@ -277,13 +282,14 @@ def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig, name: str) -> C
 
 @_check("semigroup-law")
 def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+    # two engines: |L^{p+q}| read off one box table (one sparse generator
+    # step per degree) against the product of two binary-power matrices
     three = dv.scaled(3, sk.k)
-    for p in dv.box(dv.zero(sk.k), three):
-        mp = vertex_matrix(sk, p).entries
-        for q in dv.box(dv.zero(sk.k), three):
-            if vertex_matrix(sk, dv.add(p, q)).entries != _mat_mul(
-                mp, vertex_matrix(sk, q).entries
-            ):
+    table = _box_table(sk, dv.scaled(6, sk.k))
+    mats = {p: vertex_matrix(sk, p).entries for p in dv.box(dv.zero(sk.k), three)}
+    for p, mp in mats.items():
+        for q, mq in mats.items():
+            if table[dv.add(p, q)] != _mat_mul(mp, mq):
                 return CheckResult(name, "fail", f"|L^{p}+{q}| != |L^{p}||L^{q}|")
     return CheckResult(name, "pass")
 
@@ -315,8 +321,8 @@ def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
         return CheckResult(name, "skip", "not irreducible")
     tol = 10 * cfg.tol
     vs = sk.vertices
-    for p in dv.box(dv.zero(sk.k), dv.scaled(3, sk.k)):
-        m = vertex_matrix(sk, p)
+    for p, entries in _box_table(sk, dv.scaled(3, sk.k)).items():
+        m = VertexMatrix(p, vs, entries)
         tp = pd.t_power(p)
         for v in vs:
             left = sum(pd.a[u] * m.entry(u, v) for u in vs)
@@ -344,6 +350,7 @@ def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
 @_check("af-consistency")
 def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     two = dv.scaled(2, sk.k)
+    table = _box_table(sk, two)
     for m in dv.box(dv.zero(sk.k), two):
         for n in dv.box(dv.zero(sk.k), two):
             if dv.is_zero(n):
@@ -351,7 +358,7 @@ def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
             af = af_multiplicities(sk, m, n)
             if not af.consistent:
                 return CheckResult(name, "fail", f"block dims break at m={m}, n={n}")
-            if af.multiplicity.entries != vertex_matrix(sk, n).entries:
+            if af.multiplicity.entries != table[n]:
                 return CheckResult(name, "fail", f"multiplicity != |Lambda^{n}|")
     return CheckResult(name, "pass")
 
@@ -590,19 +597,21 @@ def check_contraction(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResu
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = _suite_windows(sk, n, cfg, name)
-    by_future: dict[Morphism, list[Window]] = {}
-    by_past: dict[Morphism, list[Window]] = {}
-    for w in windows:
-        by_future.setdefault(w.future, []).append(w)
-        by_past.setdefault(w.past, []).append(w)
+    by_future: dict[Morphism, list[int]] = {}
+    by_past: dict[Morphism, list[int]] = {}
+    for i, w in enumerate(windows):
+        by_future.setdefault(w.future, []).append(i)
+        by_past.setdefault(w.past, []).append(i)
     for grouping, sign in ((by_future, 1), (by_past, -1)):
+        # moved[j][i] = sigma^{sign j e} of window i, shifted once per j
+        moved = {j: [shift(w, dv.scaled(sign * j, sk.k)) for w in windows] for j in range(1, n)}
         for group in grouping.values():
-            for i, y in enumerate(group):
-                for z in group[i + 1 :]:
+            for pos, i in enumerate(group):
+                for h in group[pos + 1 :]:
+                    y, z = windows[i], windows[h]
                     rho0 = distance(y, z, params).rho
                     for j in range(1, n):
-                        je = dv.scaled(sign * j, sk.k)
-                        rho_j = distance(shift(y, je), shift(z, je), params).rho
+                        rho_j = distance(moved[j][i], moved[j][h], params).rho
                         if rho_j > params.r**j * rho0 + 1e-15:
                             return CheckResult(
                                 name, "fail", f"contraction fails at j={j} for {y!r},{z!r}"
@@ -668,7 +677,7 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
             if dv.is_zero(m):
                 continue
             lo, hi = dv.meet(m, dv.zero(k)), dv.join(m, dv.zero(k))
-            ii, jj = np.nonzero(_eq_matrix(_tokens(group, lambda w: w.extract(lo, hi))))
+            ii, jj = np.nonzero(_eq_matrix(_block_tokens(group, lo, hi)))
             moved = [shift(w, m) for w in group]
             moved_past = _tokens(moved, lambda w: w.past)
             moved_future = _tokens(moved, lambda w: w.future)
@@ -715,7 +724,7 @@ def check_mixing_lag(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResul
     for _ in range(20):
         u = CylinderSet(rng.choice(pool), tuple(rng.randint(-2, 2) for _ in range(sk.k)))
         v = CylinderSet(rng.choice(pool), tuple(rng.randint(-2, 2) for _ in range(sk.k)))
-        lag = mixing_lag(sk, u, v, cfg.bound_vec(sk.k))
+        lag = mixing_lag(sk, u, v, cc)
         if not lag.verified:
             return CheckResult(name, "fail", f"no connector for {u!r} vs {v!r}")
     return CheckResult(name, "pass")
@@ -732,6 +741,32 @@ def _tokens(windows: list[Window], extractor) -> "np.ndarray":
     out = np.empty(len(windows), dtype=np.int64)
     for i, w in enumerate(windows):
         out[i] = intern.setdefault(extractor(w), len(intern))
+    return out
+
+
+def _block_reader(w: Window, m: Degree, n: Degree):
+    """cells -> the raw edge-id word of x(m, n) on a grid laid out as w's,
+    or the vertex x(m) for a point box, where the word is empty."""
+    shape = w._cells()[0]
+    lo, hi = w._box(m, n)
+    if lo == hi:
+        sk = w.skeleton
+        return lambda cells: shape.vertex(sk, cells, lo)
+    return operator.itemgetter(*(slot for block in shape.staircase(lo, hi) for slot in block))
+
+
+def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
+    """Intern x(m, n) per window by its raw read (``_block_reader``): equal
+    tokens iff equal blocks.  One read plan per (grid shape, corner, N)."""
+    plans: dict = {}
+    intern: dict = {}
+    out = np.empty(len(windows), dtype=np.int64)
+    for i, w in enumerate(windows):
+        shape, cells, corner = w._cells()
+        read = plans.get((shape, corner, w.N))
+        if read is None:
+            read = plans[(shape, corner, w.N)] = _block_reader(w, m, n)
+        out[i] = intern.setdefault(read(cells), len(intern))
     return out
 
 
@@ -753,15 +788,13 @@ def _class_tokens(ii, jj, left, right, evaluate, seen: dict) -> "np.ndarray":
 
 def _tail_eq(windows: list[Window], m: Degree) -> "np.ndarray":
     # pairwise window-scale G_{s,m} membership via the tail block x(m, Ne)
-    k = windows[0].skeleton.k
-    ne = dv.scaled(windows[0].N, k)
-    return _eq_matrix(_tokens(windows, lambda w: w.extract(m, ne)))
+    ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
+    return _eq_matrix(_block_tokens(windows, m, ne))
 
 
 def _head_eq(windows: list[Window], n0: Degree) -> "np.ndarray":
-    k = windows[0].skeleton.k
-    ne = dv.scaled(windows[0].N, k)
-    return _eq_matrix(_tokens(windows, lambda w: w.extract(dv.neg(ne), n0)))
+    ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
+    return _eq_matrix(_block_tokens(windows, dv.neg(ne), n0))
 
 
 def _api_cross_check(

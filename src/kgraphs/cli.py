@@ -399,7 +399,7 @@ def _cmd_dynamics(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
         for _ in range(5):
             u = CylinderSet(rng.choice(pool), tuple(rng.randint(-2, 2) for _ in range(sk.k)))
             v = CylinderSet(rng.choice(pool), tuple(rng.randint(-2, 2) for _ in range(sk.k)))
-            lag = mixing_lag(sk, u, v, cfg.bound_vec(sk.k))
+            lag = mixing_lag(sk, u, v, cc)
             lags.append(
                 {
                     "U": ".".join(u.lam.word),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from . import degrees as dv
@@ -209,6 +210,16 @@ class Skeleton:
     def _vertex_index(self) -> Mapping[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    @cached_property
+    def _sources(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per color c and vertex u (in vertex order), the indices of the
+        sources of the color-c edges into u: the sparse generator M_c."""
+        idx = self._vertex_index
+        return tuple(
+            tuple(tuple(idx[e.source] for e in self.edges_with_range(u, c)) for u in self.vertices)
+            for c in range(self.k)
+        )
+
     def edges_with_range(self, v: Vertex, color: int) -> tuple[ColoredEdge, ...]:
         return self._by_range.get((v, color), ())
 
@@ -375,50 +386,124 @@ def _peel(m: Degree) -> Iterator[tuple[int, Degree]]:
             yield c, tuple(rest)
 
 
-def _vm(sk: Skeleton, p: Degree) -> tuple[tuple[int, ...], ...]:
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _identity_rows(n: int) -> IntMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _generator_matrix(sk: Skeleton, color: int) -> IntMatrix:
+    """|Lambda^{e_c}|: per (range, source), the number of color-c edges."""
+    idx = sk._vertex_index
+    n = len(sk.vertices)
+    rows = [[0] * n for _ in range(n)]
+    for e in sk.edges_of_color[color]:
+        rows[idx[e.range]][idx[e.source]] += 1
+    return tuple(tuple(r) for r in rows)
+
+
+def _step_rows(sk: Skeleton, c: int, rows: IntMatrix) -> IntMatrix:
+    """M_c times the matrix ``rows`` without forming M_c: row u of the
+    result sums the rows at the sources of the color-c edges into u."""
+    zero = (0,) * len(rows[0])
+    out = []
+    for srcs in sk._sources[c]:
+        picked = [rows[s] for s in srcs]
+        out.append(picked[0] if len(picked) == 1 else tuple(map(sum, zip(zero, *picked))))
+    return tuple(out)
+
+
+def _step_vector(sk: Skeleton, c: int, x: list[int]) -> list[int]:
+    """M_c times the column vector x, the same way."""
+    at = x.__getitem__
+    return [sum(map(at, srcs)) for srcs in sk._sources[c]]
+
+
+def _power(sk: Skeleton, c: int, j: int) -> IntMatrix:
+    """M_c^(2^j), squared up from the nearest power already kept.  The
+    skeleton keeps these binary powers only: k (log2 max p + 1) matrices."""
+    powers = sk._cache("powers")
+    top = j
+    while top >= 0 and (c, top) not in powers:
+        top -= 1
+    if top < 0:
+        top = 0
+        powers[(c, 0)] = _generator_matrix(sk, c)
+    for i in range(top + 1, j + 1):
+        half = powers[(c, i - 1)]
+        powers[(c, i)] = _mat_mul(half, half)
+    return powers[(c, j)]
+
+
+def _vm(sk: Skeleton, p: Degree) -> IntMatrix:
     """The exact vertex matrix |Lambda^p|, rows by range and columns by
     source, for a trusted p in N^k.
 
-    |Lambda^p| is the product of the generator matrices of the colors of
-    the peel chain of p (any order agrees once the squares biject).  Walks
-    down the chain to the nearest cached degree (or to 0) and builds back
-    up: with c the color peeled from m, row u of |Lambda^m| sums the rows
-    of |Lambda^(m - e_c)| at the sources of the color-c edges into u.
-    Every degree on the way is cached.
+    |Lambda^p| is the ordered product M_0^(p_0) ... M_(k-1)^(p_(k-1)) of the
+    generator matrices (any order agrees once the squares biject), each
+    power the product of the binary powers M_c^(2^j) of the bits of p_c.
     """
-    cache = sk._cache("vm")
-    hit = cache.get(p)
-    if hit is not None:
-        return hit
-    steps: list[tuple[Degree, int]] = []
-    below = p
-    for c, rest in _peel(p):
-        steps.append((below, c))
-        below = rest
-        if below in cache:
-            break
-    n = len(sk.vertices)
-    rows = cache.get(below) or tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    cache[below] = rows
-    index = sk._vertex_index
-    zero = (0,) * n
-    for m, c in reversed(steps):
-        prev = rows
-        picks = ([prev[index[e.source]] for e in sk.edges_with_range(u, c)] for u in sk.vertices)
-        rows = cache[m] = tuple(
-            r[0] if len(r) == 1 else tuple(map(sum, zip(zero, *r))) for r in picks
-        )
-    return rows
+    out: IntMatrix | None = None
+    for c, pc in enumerate(p):
+        j = 0
+        while pc:
+            if pc & 1:
+                factor = _power(sk, c, j)
+                out = factor if out is None else _mat_mul(out, factor)
+            pc >>= 1
+            j += 1
+    return _identity_rows(len(sk.vertices)) if out is None else out
+
+
+def _chain(sk: Skeleton, m: Degree, x: list[int]) -> list[list[int]]:
+    """|Lambda^d| x for each degree d of the peel chain of m: entry 0 is at
+    m, entry i + 1 at the degree left after the i-th step of ``_peel``.
+    One sparse step per degree, built up from d = 0."""
+    out = [x]
+    for c, _ in reversed(list(_peel(m))):
+        out.append(_step_vector(sk, c, out[-1]))
+    out.reverse()
+    return out
+
+
+def _counts(sk: Skeleton, m: Degree) -> list[int]:
+    """Per range vertex, the number of degree-m morphisms: |Lambda^m| 1,
+    folded one sparse step per unit of degree."""
+    x = [1] * len(sk.vertices)
+    for c in reversed(range(sk.k)):
+        for _ in range(m[c]):
+            x = _step_vector(sk, c, x)
+    return x
+
+
+def _box_table(sk: Skeleton, top: Degree) -> dict[Degree, IntMatrix]:
+    """|Lambda^m| for every m in [0, top], each one sparse step from its
+    peel parent m - e_c (c the first nonzero color of m), which the
+    lexicographic order of the box visits first.  Built per call."""
+    table: dict[Degree, IntMatrix] = {}
+    for m in dv.box(dv.zero(sk.k), top):
+        c = next((i for i, mi in enumerate(m) if mi), None)
+        if c is None:
+            table[m] = _identity_rows(len(sk.vertices))
+        else:
+            table[m] = _step_rows(sk, c, table[m[:c] + (m[c] - 1,) + m[c + 1 :]])
+    return table
 
 
 def count_from(sk: Skeleton, v: Vertex, m: Degree) -> int:
     """Number of degree-m morphisms with range v.  Exact, arbitrary precision."""
-    return sum(_vm(sk, dv.as_nonneg_degree(m, sk.k))[sk._vertex_index[v]])
+    return _counts(sk, dv.as_nonneg_degree(m, sk.k))[sk._vertex_index[v]]
 
 
 def count_morphisms(sk: Skeleton, n: Degree) -> int:
     """|Lambda^n|, summed over all range vertices."""
-    return sum(map(sum, _vm(sk, dv.as_nonneg_degree(n, sk.k))))
+    return sum(_counts(sk, dv.as_nonneg_degree(n, sk.k)))
 
 
 def enumerate_morphisms(
@@ -456,16 +541,16 @@ def _pick(items: Sequence, weights: Sequence, x):
 def sample_morphism(sk: Skeleton, n: Degree, rng) -> Morphism:
     """Draw uniformly from Lambda^n using exact completion counts."""
     n = dv.as_nonneg_degree(n, sk.k)
-    weights = [sum(row) for row in _vm(sk, n)]
+    chain = _chain(sk, n, [1] * len(sk.vertices))
+    weights = chain[0]
     if sum(weights) == 0:
         raise BoundExceeded(f"Lambda^{n} is empty")
     start = at = _pick(sk.vertices, weights, rng.randrange(sum(weights)))
     index = sk._vertex_index
     word: list[str] = []
-    for c, rest in _peel(n):
-        rows = _vm(sk, rest)
+    for (c, _), below in zip(_peel(n), chain[1:]):
         choices = sk.edges_with_range(at, c)
-        counts = [sum(rows[index[e.source]]) for e in choices]
+        counts = [below[index[e.source]] for e in choices]
         e = _pick(choices, counts, rng.randrange(sum(counts)))
         word.append(e.id)
         at = e.source

@@ -25,10 +25,10 @@ from .core import (
     Morphism,
     Skeleton,
     Vertex,
+    _chain,
     _from_normal_word,
     _peel,
     _pick,
-    _vm,
     compose,
     count_morphisms,
     enumerate_morphisms,
@@ -51,7 +51,7 @@ from .errors import (
     RadiusMismatch,
 )
 from .measure import CylinderSet
-from .spectral import PerronData, classify_connectivity
+from .spectral import ConnectivityClass, PerronData
 
 
 @dataclass(frozen=True)
@@ -357,22 +357,18 @@ class MixingLag:
 
 
 def mixing_lag(
-    sk: Skeleton,
-    u_cyl: CylinderSet,
-    v_cyl: CylinderSet,
-    search_bound: Degree | None = None,
+    sk: Skeleton, u_cyl: CylinderSet, v_cyl: CylinderSet, cc: ConnectivityClass
 ) -> MixingLag:
     """The lag Q = M + d(nu) + n - l beyond which U meets every shift of V.
 
-    For each q in [Q, Q + 2e] a connector lam' in Lambda^{M + q - Q} from
-    r(lam) to s(nu) is produced, and the composite nu * lam' * lam is
-    checked to read nu and lam at the right offsets, witnessing a point of
-    Z(lam, l) intersect sigma^q Z(nu, n).
+    ``cc`` is the connectivity class of sk (``classify_connectivity``); its
+    threshold is M.  For each q in [Q, Q + 2e] a connector lam' in
+    Lambda^{M + q - Q} from r(lam) to s(nu) is produced, and the composite
+    nu * lam' * lam is checked to read nu and lam at the right offsets,
+    witnessing a point of Z(lam, l) intersect sigma^q Z(nu, n).
     """
     if u_cyl.lam.skeleton != sk or v_cyl.lam.skeleton != sk:
         raise GraphMismatch("cylinders belong to a different skeleton")
-    bound = dv.as_degree(search_bound, sk.k) if search_bound else dv.scaled(8, sk.k)
-    cc = classify_connectivity(sk, bound)
     if not cc.primitive:
         raise NotPrimitive(
             "graph is not primitive within the search bound"
@@ -404,19 +400,20 @@ def mixing_lag(
 def connecting_morphism(sk: Skeleton, u: Vertex, v: Vertex, m: Degree) -> Morphism | None:
     """Some morphism of degree m with range u and source v, or None.
 
-    Count-guided construction through the exact vertex matrices along the
-    peel chain of m; no enumeration of Lambda^m.
+    Count-guided construction through the column of v in the exact vertex
+    matrices along the peel chain of m, built for this call; no enumeration
+    of Lambda^m.
     """
     m = dv.as_nonneg_degree(m, sk.k)
     index = sk._vertex_index
     col = index[v]
-    if _vm(sk, m)[index[u]][col] == 0:
+    chain = _chain(sk, m, [int(i == col) for i in range(len(sk.vertices))])
+    if chain[0][index[u]] == 0:
         return None
     word: list[str] = []
     at = u
-    for c, rest in _peel(m):
-        rows = _vm(sk, rest)
-        e = next(e for e in sk.edges_with_range(at, c) if rows[index[e.source]][col] > 0)
+    for (c, _), below in zip(_peel(m), chain[1:]):
+        e = next(e for e in sk.edges_with_range(at, c) if below[index[e.source]] > 0)
         word.append(e.id)
         at = e.source
     return _from_normal_word(sk, word, u, v)

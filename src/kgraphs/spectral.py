@@ -1,10 +1,13 @@
 """Vertex matrices, connectivity classes, Perron data and AF tower blocks.
 
 Vertex matrices are exact: entries are Python ints, so arbitrarily large
-path counts never overflow.  They come from the counting engine in core,
-which builds them without recursion at any degree.  Floating point enters
-only in the Perron eigendata, which is computed by power iteration on an
-entrywise-positive combination of vertex matrices.
+path counts never overflow.  They come from the counting engine in core:
+one matrix is a product of the binary powers M_c^(2^j) of the generator
+matrices, the only matrices a skeleton keeps, and a sweep over a box of
+degrees builds its own table, one sparse generator step per degree, and
+drops it on return.  Floating point enters only in the Perron eigendata,
+which is computed by power iteration on an entrywise-positive combination
+of vertex matrices.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ import numpy as np
 
 from . import degrees as dv
 from .core import (
+    IntMatrix,
     Morphism,
     Skeleton,
     Vertex,
+    _box_table,
+    _generator_matrix,
     _vm,
     count_morphisms,
     enumerate_morphisms,
@@ -27,8 +33,6 @@ from .core import (
 )
 from .degrees import Degree
 from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotConverged, NotIrreducible
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -58,29 +62,13 @@ class VertexMatrix:
         }
 
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = tuple(tuple(b[i][j] for i in range(n)) for j in range(n))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def _mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _generator_matrix(sk: Skeleton, color: int) -> IntMatrix:
-    idx = sk._vertex_index
-    n = len(sk.vertices)
-    rows = [[0] * n for _ in range(n)]
-    for e in sk.edges_of_color[color]:
-        rows[idx[e.range]][idx[e.source]] += 1
-    return tuple(tuple(r) for r in rows)
-
-
 def vertex_matrix(sk: Skeleton, p: Degree) -> VertexMatrix:
-    """|Lambda^p| as a product of color-generator matrices, exact."""
+    """|Lambda^p| as a product of binary powers of the color-generator
+    matrices, exact."""
     p = dv.as_nonneg_degree(p, sk.k)
     return VertexMatrix(p, sk.vertices, _vm(sk, p))
 
@@ -131,10 +119,11 @@ def classify_connectivity(sk: Skeleton, search_bound: Degree) -> ConnectivityCla
     # lexicographic order decides m from its upper neighbours, and a
     # neighbour past the bound is absent from the table and imposes nothing
     units = [dv.unit(i, sk.k) for i in range(sk.k)]
+    table = _box_table(sk, bound)
     qualifies: dict[Degree, bool] = {}
-    for m in reversed(list(dv.box(dv.zero(sk.k), bound))[1:]):  # [1:] drops 0
+    for m in reversed(list(table)[1:]):  # [1:] drops 0
         qualifies[m] = all(qualifies.get(dv.add(m, u), True) for u in units) and (
-            vertex_matrix(sk, m).is_positive()
+            VertexMatrix(m, sk.vertices, table[m]).is_positive()
         )
     candidates = [m for m, ok in qualifies.items() if ok]
     if not candidates:
@@ -213,7 +202,7 @@ def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:
     bound = dv.ones(sk.k)
     limit = max(nv, 1)
     while True:
-        terms = [_vm(sk, p) for p in dv.box(dv.zero(sk.k), bound) if not dv.is_zero(p)]
+        terms = list(_box_table(sk, bound).values())[1:]  # [1:] drops 0
         acc = reduce(_mat_add, terms)
         if all(x > 0 for row in acc for x in row):
             break

@@ -74,7 +74,7 @@ def test_criterion_01_factorization(test_graphs):
 
 def test_criterion_02_semigroup(test_graphs):
     def body():
-        from kgraphs.spectral import _mat_mul
+        from kgraphs.core import _mat_mul
 
         for sk in test_graphs:
             three = dv.scaled(3, sk.k)
@@ -213,10 +213,11 @@ def test_criterion_08_mixing(g1, g2):
         rng = random.Random(0)
         for sk in (g1, g2):
             pool = enumerate_morphisms(sk, (1,)) + enumerate_morphisms(sk, (2,))
+            cc = classify_connectivity(sk, (8,))
             for _ in range(20):
                 u = CylinderSet(rng.choice(pool), (rng.randint(-2, 2),))
                 v = CylinderSet(rng.choice(pool), (rng.randint(-2, 2),))
-                lag = mixing_lag(sk, u, v)
+                lag = mixing_lag(sk, u, v, cc)
                 assert lag.verified, f"no connector for {u!r} meets sigma^q {v!r}"
 
     _criterion(8, "mixing lag Q on 20 random cylinder pairs", 10.0, body)

@@ -19,7 +19,7 @@ from kgraphs.core import (
     opposite_graph,
     validate_skeleton,
 )
-from kgraphs.dynamics import bracket, shift
+from kgraphs.dynamics import all_windows, bracket, shift
 from kgraphs.errors import NotBracketable
 from kgraphs.measure import conditional_measure
 from kgraphs.relations import stable_equiv
@@ -138,3 +138,29 @@ def test_shift_conjugation_catches_a_shift_that_moves_the_wrong_way(g3, monkeypa
     result = checks.check_shift_conjugation(g3, CFG)
     assert result.status == "fail"
     assert result.detail.startswith("G_(s,")
+
+
+def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):
+    # the box [Ne, Ne] has the empty word: only the vertex x(Ne) is left
+    windows = all_windows(g2, 2)
+    ends = [w.extract((2,), (2,)).range for w in windows]
+    eq = checks._tail_eq(windows, (2,))
+    assert {ends[i] == ends[j] for i in range(len(ends)) for j in range(len(ends))} == {True, False}
+    for i, a in enumerate(ends):
+        for j, b in enumerate(ends):
+            assert bool(eq[i, j]) == (a == b)
+
+
+def test_block_tokens_agree_with_extracted_morphisms(g3):
+    # on windows of the radius-N grid and on shifted views of it, whose
+    # grid corners differ
+    windows = all_windows(g3, 2)[::7]
+    for views in (windows, [shift(w, (1, -1)) for w in windows]):
+        n = views[0].N
+        for m in dv.box((-n, -n), (n, n)):
+            for top in dv.box(m, (n, n)):
+                extracted = [w.extract(m, top) for w in views]
+                eq = checks._eq_matrix(checks._block_tokens(views, m, top))
+                for i, a in enumerate(extracted):
+                    for j, b in enumerate(extracted):
+                        assert bool(eq[i, j]) == (a == b)

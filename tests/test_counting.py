@@ -1,17 +1,33 @@
 """Counts, vertex matrices, enumeration and sampling at degrees far beyond
-the interpreter's recursion limit, each against an independent closed form."""
+the interpreter's recursion limit, each against an independent closed form;
+the two matrix engines against dense generator products; and the memory
+the counting engine keeps."""
 
 import json
 import random
 
 import pytest
 
+from kgraphs import degrees as dv
 from kgraphs.cli import run
-from kgraphs.core import count_morphisms, enumerate_morphisms, sample_morphism
+from kgraphs.core import (
+    ColoredEdge,
+    Skeleton,
+    _box_table,
+    _generator_matrix,
+    _mat_mul,
+    _vm,
+    combine,
+    count_morphisms,
+    enumerate_morphisms,
+    sample_morphism,
+)
+from kgraphs.dynamics import connecting_morphism
 from kgraphs.errors import DegreeMismatch
-from kgraphs.spectral import vertex_matrix
+from kgraphs.spectral import classify_connectivity, vertex_matrix
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
+from randgraphs import random_1graph, random_flip_2graph
 
 
 def test_golden_mean_count_at_degree_2000(g2):
@@ -70,3 +86,58 @@ def test_negative_degrees_are_rejected(g3, call):
 def test_wrong_length_degrees_are_rejected(g3, call):
     with pytest.raises(ValueError):
         call(g3)
+
+
+def _dense_product(sk, p):
+    """M_0^(p_0) ... M_(k-1)^(p_(k-1)), one dense generator product at a time."""
+    n = len(sk.vertices)
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for c, pc in enumerate(p):
+        for _ in range(pc):
+            out = _mat_mul(out, _generator_matrix(sk, c))
+    return out
+
+
+def _non_commuting():
+    # color 0 steps v -> u, color 1 loops at u: M_0 M_1 = 0 != M_1 M_0
+    edges = (ColoredEdge("f", 0, "u", "v"), ColoredEdge("g", 1, "u", "u"))
+    return Skeleton(2, ("u", "v"), edges, ())
+
+
+def test_binary_powers_box_table_and_dense_products_agree(fixture_graphs, random_skeletons):
+    rank3 = combine(random_skeletons[3], random_1graph(random.Random(2), 2, 1), "product")
+    flip = random_flip_2graph(random.Random(3), 3, 2)
+    odd = _non_commuting()
+    m0, m1 = _generator_matrix(odd, 0), _generator_matrix(odd, 1)
+    assert _mat_mul(m0, m1) != _mat_mul(m1, m0)
+    for sk in [*fixture_graphs.values(), rank3, flip, odd]:
+        top = dv.scaled(4, sk.k)
+        table = _box_table(sk, top)
+        assert list(table) == list(dv.box(dv.zero(sk.k), top))
+        for p, entries in table.items():
+            assert _vm(sk, p) == entries == _dense_product(sk, p), (sk.k, p)
+
+
+def test_counting_memo_keeps_only_binary_powers():
+    calls = (
+        ("g1", lambda sk: vertex_matrix(sk, (3000,)), (3000,)),
+        ("g2", lambda sk: count_morphisms(sk, (2000,)), (2000,)),
+        ("g3", lambda sk: count_morphisms(sk, (250, 250)), (250, 250)),
+    )
+    held = {}
+    for name, call, p in calls:
+        sk = held[name] = load_fixture(name)
+        call(sk)
+        assert set(sk._memo) <= {"powers"}
+        assert len(sk._memo.get("powers", ())) <= sk.k * max(p).bit_length()
+    # counts fold a vector through sparse steps and keep no matrix at all
+    assert held["g2"]._memo == held["g3"]._memo == {}
+
+
+def test_sampling_connectors_and_classification_keep_nothing():
+    g2, g3 = load_fixture("g2"), load_fixture("g3")
+    sample_morphism(g3, (40, 40), random.Random(0))
+    assert connecting_morphism(g2, "u", "v", (50,)) is not None
+    classify_connectivity(g3, (8, 8))
+    classify_connectivity(g2, (8,))
+    assert g2._memo == {} and g3._memo == {}

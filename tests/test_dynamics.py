@@ -33,7 +33,7 @@ from kgraphs.errors import (
     RadiusMismatch,
 )
 from kgraphs.measure import CylinderSet
-from kgraphs.spectral import perron_data
+from kgraphs.spectral import classify_connectivity, perron_data
 
 
 def w1(g1, word, n=2):
@@ -285,7 +285,7 @@ def test_contraction_on_shared_future(g1):
 def test_mixing_lag_g1(g1):
     u = CylinderSet(make_morphism(g1, ["a"]), (0,))
     v = CylinderSet(make_morphism(g1, ["b"]), (0,))
-    lag = mixing_lag(g1, u, v)
+    lag = mixing_lag(g1, u, v, classify_connectivity(g1, (8,)))
     assert lag.Q == (2,) and lag.threshold == (1,) and lag.verified
 
 
@@ -293,14 +293,14 @@ def test_mixing_lag_degree_zero(g1):
     from kgraphs.core import identity
 
     z = CylinderSet(identity(g1, "v"), (0,))
-    lag = mixing_lag(g1, z, z)
+    lag = mixing_lag(g1, z, z, classify_connectivity(g1, (8,)))
     assert lag.Q == (1,) and lag.verified
 
 
 def test_mixing_lag_g2(g2):
     u = CylinderSet(make_morphism(g2, ["uu"]), (0,))
     v = CylinderSet(make_morphism(g2, ["uv"]), (0,))
-    lag = mixing_lag(g2, u, v)
+    lag = mixing_lag(g2, u, v, classify_connectivity(g2, (8,)))
     assert lag.Q == (3,) and lag.verified
 
 
@@ -318,17 +318,18 @@ def test_mixing_needs_primitive():
     for sk in (two_cycle, blue_loop):
         z = CylinderSet(identity(sk, "u"), dv.zero(sk.k))
         with pytest.raises(NotPrimitive):
-            mixing_lag(sk, z, z)
+            mixing_lag(sk, z, z, classify_connectivity(sk, dv.scaled(8, sk.k)))
 
 
 def test_mixing_lag_random_pairs(g1, g2):
     rng = random.Random(5)
     for sk in (g1, g2):
         pool = enumerate_morphisms(sk, (1,)) + enumerate_morphisms(sk, (2,))
+        cc = classify_connectivity(sk, (8,))
         for _ in range(20):
             u = CylinderSet(rng.choice(pool), (rng.randint(-2, 2),))
             v = CylinderSet(rng.choice(pool), (rng.randint(-2, 2),))
-            assert mixing_lag(sk, u, v).verified
+            assert mixing_lag(sk, u, v, cc).verified
 
 
 def test_connecting_morphism(g2):

@@ -85,7 +85,7 @@ def test_matrix_counts_match_enumeration(test_graphs):
 
 
 def test_semigroup_and_commutation(test_graphs):
-    from kgraphs.spectral import _generator_matrix, _mat_mul
+    from kgraphs.core import _generator_matrix, _mat_mul
 
     for sk in test_graphs:
         for p in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
