@@ -11,7 +11,6 @@ is part of the report, so runs are reproducible.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ from .measure import (
     base_measure,
     beta_transport,
     conditional_measure,
-    fiber_measure,
+    fiber_masses,
     haar_weight,
     parry_measure,
     trace_eval,
@@ -453,7 +452,7 @@ def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRes
         lams = lams[:: len(lams) // 240 + 1]
     ext_bound = dv.scaled(2 if sk.k <= 2 else 1, sk.k)
     exts = {
-        p: enumerate_morphisms(sk, p)
+        p: (pd.t_power(p), enumerate_morphisms(sk, p))
         for p in dv.box(dv.zero(sk.k), ext_bound)
         if not dv.is_zero(p)
     }
@@ -463,12 +462,12 @@ def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRes
             hw = haar_weight(pd, p, lam)
             if abs(hw.value - base) > _TOL_MEASURE:
                 return CheckResult(name, "fail", f"haar weight breaks at {lam!r}, p={p}")
-        for p, pool in exts.items():
+        for p, (tp, pool) in exts.items():
             for xi in pool:
                 if xi.range != lam.source:
                     continue
                 shifted = conditional_measure(pd, "stable", compose(lam, xi)).value
-                if abs(pd.t_power(p) * shifted - base) > _TOL_MEASURE:
+                if abs(tp * shifted - base) > _TOL_MEASURE:
                     return CheckResult(
                         name, "fail", f"t^{p} mu_s(sigma^{p}-shift) breaks at {lam!r}"
                     )
@@ -520,8 +519,9 @@ def check_disintegration(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
                 if cells * per_cell > 4000:
                     continue
                 mu = parry_measure(pd, cyl).value
+                masses = fiber_masses(pd, p, cyl)
                 total = sum(
-                    fiber_measure(pd, p, om, cyl) * base_measure(pd, p, om).value
+                    masses.get(om, 0.0) * base_measure(pd, p, om).value
                     for om in enumerate_morphisms(sk, need)
                 )
                 if abs(total - mu) > _TOL_MEASURE:
@@ -542,14 +542,29 @@ def check_disintegration(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
 def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
     n = cfg.radius
     k = sk.k
+    ne = dv.scaled(n, k)
+    halves = [(dv.neg(ne), dv.zero(k)), (dv.zero(k), ne)]
+    boxes = halves + [(dv.neg(ne), ne)]
+    # subblock is pure: call it once per distinct (outer, lo, mid).  The box
+    # is part of the key, since the past and the future box can read the
+    # same outer morphism, whose subblocks at mid then differ.  Only the
+    # halves repeat (the windows are distinct), so only they are kept.
+    inners: dict[tuple[Morphism, Degree, Degree], Morphism] = {}
     for w in _suite_windows(sk, n, cfg, name)[:80]:
-        ne = dv.scaled(n, k)
-        boxes = [(dv.neg(ne), dv.zero(k)), (dv.zero(k), ne), (dv.neg(ne), ne)]
+        # the future and the whole box share their tails x(mid, Ne)
+        tails: dict[tuple[Degree, Degree], Morphism] = {}
         for lo, hi in boxes:
             outer = w.extract(lo, hi)
             for mid in dv.box(lo, hi):
-                inner = subblock(outer, dv.sub(mid, lo), dv.sub(hi, lo))
-                if inner != w.extract(mid, hi):
+                inner = inners.get((outer, lo, mid))
+                if inner is None:
+                    inner = subblock(outer, dv.sub(mid, lo), dv.sub(hi, lo))
+                    if (lo, hi) in halves:
+                        inners[(outer, lo, mid)] = inner
+                tail = tails.get((mid, hi))
+                if tail is None:
+                    tail = tails[(mid, hi)] = w.extract(mid, hi)
+                if inner != tail:
                     return CheckResult(name, "fail", f"nested extraction differs in {w!r}")
     return CheckResult(name, "pass")
 
@@ -560,6 +575,10 @@ def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
     k = sk.k
     one = dv.ones(k)
     for w in _suite_windows(sk, n + 1, cfg, name):
+        # sigma^{a+b} w and its restriction to radius N - |a| - |b| repeat
+        # over the (a, b) with one sum: form each once
+        summed: dict[Degree, Window] = {}
+        cut: dict[tuple[Degree, int], Window] = {}
         for a in dv.box(dv.neg(one), one):
             wa = shift(w, a)
             if dv.is_zero(a) and wa != w:
@@ -568,8 +587,13 @@ def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
                 if dv.norm_max(b) > wa.N - 1:
                     continue
                 lhs = shift(wa, b)
-                rhs = shift(w, dv.add(a, b))
-                if restrict(rhs, lhs.N) != lhs:
+                ab = dv.add(a, b)
+                rhs = cut.get((ab, lhs.N))
+                if rhs is None:
+                    if ab not in summed:
+                        summed[ab] = shift(w, ab)
+                    rhs = cut[(ab, lhs.N)] = restrict(summed[ab], lhs.N)
+                if rhs != lhs:
                     return CheckResult(name, "fail", f"sigma^{a} then sigma^{b} differs")
     return CheckResult(name, "pass")
 
@@ -579,16 +603,21 @@ def check_expansiveness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = _suite_windows(sk, n, cfg, name)
-    shifted = [
-        [shift(w, m) for w in windows]
-        for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k))
-    ]
-    for i, x in enumerate(windows):
-        for j in range(i + 1, len(windows)):
-            if not any(distance(ws[i], ws[j], params).rho >= params.r for ws in shifted):
-                return CheckResult(
-                    name, "fail", f"{x!r} and {windows[j]!r} are never separated"
-                )
+    # open_[i, j], i < j: no shift so far has separated windows i and j
+    open_ = np.triu(np.ones((len(windows), len(windows)), dtype=bool), 1)
+    for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k)):
+        if not open_.any():
+            break
+        tokens, rho = _class_distances([shift(w, m) for w in windows], open_, params)
+        apart = np.zeros((int(tokens.max()) + 1,) * 2, dtype=bool)
+        for (a, b), value in rho.items():
+            apart[a, b] = apart[b, a] = value >= params.r
+        open_ &= ~apart[np.ix_(tokens, tokens)]
+    if open_.any():
+        i, j = divmod(int(np.argmax(open_)), len(windows))
+        return CheckResult(
+            name, "fail", f"{windows[i]!r} and {windows[j]!r} are never separated"
+        )
     return CheckResult(name, "pass", f"{len(windows)} windows")
 
 
@@ -603,15 +632,27 @@ def check_contraction(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResu
         by_future.setdefault(w.future, []).append(i)
         by_past.setdefault(w.past, []).append(i)
     for grouping, sign in ((by_future, 1), (by_past, -1)):
-        # moved[j][i] = sigma^{sign j e} of window i, shifted once per j
-        moved = {j: [shift(w, dv.scaled(sign * j, sk.k)) for w in windows] for j in range(1, n)}
+        fiber = np.empty(len(windows), dtype=np.int64)
+        for t, group in enumerate(grouping.values()):
+            fiber[group] = t
+        same = np.triu(np.equal.outer(fiber, fiber), 1)
+        # moved[j]: the class tokens of sigma^{sign j e} of each window, and
+        # the rho of every pair of distinct shifted windows a fiber pair
+        # reads (equal shifted windows are at distance 0)
+        moved = {
+            j: _class_distances(
+                [shift(w, dv.scaled(sign * j, sk.k)) for w in windows], same, params
+            )
+            for j in range(1, n)
+        }
         for group in grouping.values():
             for pos, i in enumerate(group):
                 for h in group[pos + 1 :]:
                     y, z = windows[i], windows[h]
                     rho0 = distance(y, z, params).rho
-                    for j in range(1, n):
-                        rho_j = distance(moved[j][i], moved[j][h], params).rho
+                    for j, (tokens, rho) in moved.items():
+                        a, b = sorted((tokens[i], tokens[h]))
+                        rho_j = rho[(a, b)] if a != b else 0.0
                         if rho_j > params.r**j * rho0 + 1e-15:
                             return CheckResult(
                                 name, "fail", f"contraction fails at j={j} for {y!r},{z!r}"
@@ -643,36 +684,51 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
                     return CheckResult(name, "fail", "bracket does not glue halves")
                 reps.setdefault((past, fut), z)
         half = k * n  # a key is the past word, then the future word
+        tails = [y.key[half:] for y in group]
         for x in group:
-            for y in group:
+            head = x.key[:half]
+            for y, tail in zip(group, tails):
                 z = bracket(x, y)
-                if z.key[:half] != x.key[:half] or z.key[half:] != y.key[half:]:
+                if z.key[:half] != head or z.key[half:] != tail:
                     return CheckResult(name, "fail", f"[{x!r},{y!r}] mixes halves")
         # [[x,y],z] reads only (x.past, y.future, z.future) and [x,[y,z]]
-        # only (x.past, y.past, z.future); sweep those coordinates fully
+        # only (x.past, y.past, z.future); sweep those coordinates fully.
+        # The inner brackets read two of the three: form each once.
         fill_p, fill_f = pasts[0], futures[0]
+        yzs = {
+            fc: [bracket(reps[(py, fill_f)], reps[(fill_p, fc)]) for py in pasts]
+            for fc in futures
+        }
         for pa in pasts:
             x = reps[(pa, fill_f)]
+            xys = [bracket(x, reps[(fill_p, fy)]) for fy in futures]
             for fc in futures:
                 z = reps[(fill_p, fc)]
                 xz = bracket(x, z)
-                for fy in futures:
-                    y = reps[(fill_p, fy)]
-                    if bracket(bracket(x, y), z) != xz:
+                for xy in xys:
+                    if bracket(xy, z) != xz:
                         return CheckResult(name, "fail", "[[x,y],z] != [x,z]")
-                for py in pasts:
-                    y = reps[(py, fill_f)]
-                    if bracket(x, bracket(y, z)) != xz:
+                for yz in yzs[fc]:
+                    if bracket(x, yz) != xz:
                         return CheckResult(name, "fail", "[x,[y,z]] != [x,z]")
     # shift commutation, gated on agreement over the translation strip
     # (the two sides read different paths inside the strip otherwise).
     # [sx, sy] reads only (sx.past, sy.future) and sigma^m [x, y] only
     # (x.past, y.future), so each side is evaluated once per class and
     # every gated pair compares the interned results of its two classes.
+    # [x, y] itself is glued once per class, for every m.
     one = dv.ones(k)
     for group in by_origin.values():
         past = _tokens(group, lambda w: w.past)
         future = _tokens(group, lambda w: w.future)
+        glued: dict[tuple[int, int], Window] = {}
+
+        def glue(i: int, j: int) -> Window:
+            z = glued.get((past[i], future[j]))
+            if z is None:
+                z = glued[(past[i], future[j])] = bracket(group[i], group[j])
+            return z
+
         for m in dv.box(dv.neg(one), one):
             if dv.is_zero(m):
                 continue
@@ -686,7 +742,7 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
                 ii, jj, moved_past, moved_future, lambda i, j: bracket(moved[i], moved[j]), seen
             )
             rhs = _class_tokens(
-                ii, jj, past, future, lambda i, j: shift(bracket(group[i], group[j]), m), seen
+                ii, jj, past, future, lambda i, j: shift(glue(i, j), m), seen
             )
             if bool(np.any(lhs != rhs)):
                 return CheckResult(name, "fail", f"sigma^{m} does not commute with bracket")
@@ -738,10 +794,35 @@ def check_mixing_lag(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResul
 def _tokens(windows: list[Window], extractor) -> "np.ndarray":
     """Intern extractor(w) per window; equal tokens iff equal values."""
     intern: dict = {}
-    out = np.empty(len(windows), dtype=np.int64)
-    for i, w in enumerate(windows):
-        out[i] = intern.setdefault(extractor(w), len(intern))
-    return out
+    return np.array(
+        [intern.setdefault(extractor(w), len(intern)) for w in windows], dtype=np.int64
+    )
+
+
+def _class_distances(
+    windows: list[Window], pairs: "np.ndarray", params: MetricParams
+) -> tuple["np.ndarray", dict[tuple[int, int], float]]:
+    """Intern the windows, and evaluate ``distance`` once per unordered pair
+    of distinct windows that some pair (i, j) flagged in ``pairs`` reads.
+
+    Returns the tokens and rho per evaluated pair of classes (a, b), a < b.
+    Equal windows are at distance 0 and are never evaluated.
+    """
+    tokens = _tokens(windows, lambda w: w)
+    if not windows:
+        return tokens, {}
+    c = int(tokens.max()) + 1
+    # fold the flagged pairs onto classes: read[a, b] when some flagged
+    # (i, j) has i in class a and j in class b (boolean, no n x c matrix)
+    order = np.argsort(tokens, kind="stable")
+    starts = np.searchsorted(tokens[order], np.arange(c))
+    by_row = np.logical_or.reduceat(pairs[order], starts, axis=0)
+    read = np.logical_or.reduceat(by_row[:, order], starts, axis=1)
+    first = order[starts]  # the first window of each class
+    return tokens, {
+        (a, b): distance(windows[first[a]], windows[first[b]], params).rho
+        for a, b in zip(*np.nonzero(np.triu(read | read.T, 1)))
+    }
 
 
 def _block_reader(w: Window, m: Degree, n: Degree):
@@ -752,7 +833,7 @@ def _block_reader(w: Window, m: Degree, n: Degree):
     if lo == hi:
         sk = w.skeleton
         return lambda cells: shape.vertex(sk, cells, lo)
-    return operator.itemgetter(*(slot for block in shape.staircase(lo, hi) for slot in block))
+    return shape.reader(lo, hi)
 
 
 def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
@@ -760,14 +841,14 @@ def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
     tokens iff equal blocks.  One read plan per (grid shape, corner, N)."""
     plans: dict = {}
     intern: dict = {}
-    out = np.empty(len(windows), dtype=np.int64)
-    for i, w in enumerate(windows):
+    out = []
+    for w in windows:
         shape, cells, corner = w._cells()
         read = plans.get((shape, corner, w.N))
         if read is None:
             read = plans[(shape, corner, w.N)] = _block_reader(w, m, n)
-        out[i] = intern.setdefault(read(cells), len(intern))
-    return out
+        out.append(intern.setdefault(read(cells), len(intern)))
+    return np.array(out, dtype=np.int64)
 
 
 def _eq_matrix(tokens: "np.ndarray") -> "np.ndarray":
@@ -954,8 +1035,9 @@ def check_semidirect_laws(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
     checked = 0
     corner = dv.scaled(big, k)
     for group in by_origin.values():
-        for x in group[:6]:
-            mates = [z for z in group if z.extract(corner, corner) == x.extract(corner, corner)]
+        ends = [w.extract(corner, corner) for w in group]
+        for x, end in zip(group[:6], ends):
+            mates = [z for z, e in zip(group, ends) if e == end]
             for z in mates[:6]:
                 unit = GroupoidElement((x, x), dv.zero(k))
                 g = GroupoidElement((x, z), dv.ones(k))

@@ -23,8 +23,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
-from typing import Iterator, Mapping, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import degrees as dv
 from .degrees import Degree
@@ -273,14 +273,17 @@ def _swap(sk: Skeleton, first: str, second: str) -> tuple[str, str]:
 
 def _normalize_word(sk: Skeleton, word: Sequence[str]) -> list[str]:
     """Sort an edge word into color-normal form by square swaps (stable insertion)."""
-    colors = sk.color_of
+    colors, swap = sk.color_of, sk.square_swap
     out: list[str] = []
     for eid in word:
         out.append(eid)
         i = len(out) - 1
         c = colors[eid]
         while i > 0 and colors[out[i - 1]] > c:
-            out[i - 1], out[i] = _swap(sk, out[i - 1], out[i])
+            try:
+                out[i - 1], out[i] = swap[out[i - 1], out[i]]
+            except KeyError:
+                _swap(sk, out[i - 1], out[i])  # raises, naming the missing square
             i -= 1
     return out
 
@@ -573,12 +576,15 @@ def compose(mu: Morphism, nu: Morphism) -> Morphism:
 
 def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
     # word is normal; bubble its first color-c edge to the front and pop it
-    colors = sk.color_of
+    colors, swap = sk.color_of, sk.square_swap
     p = 0
     while colors[word[p]] != c:
         p += 1
     for i in range(p, 0, -1):
-        word[i - 1], word[i] = _swap(sk, word[i - 1], word[i])
+        try:
+            word[i - 1], word[i] = swap[word[i - 1], word[i]]
+        except KeyError:
+            _swap(sk, word[i - 1], word[i])  # raises, naming the missing square
     return word.pop(0)
 
 
@@ -631,12 +637,11 @@ class GridShape:
             (c, i) for c in dv.box(dv.zero(k), d) for i in range(k) if c[i] < d[i]
         )
         self.index = {u: slot for slot, u in enumerate(self.units)}
-        self._reads: dict[tuple[Degree, Degree], tuple[tuple[int, ...], ...]] = {}
+        self._reads: dict[tuple[Degree, Degree], tuple[tuple[tuple[int, ...], ...], Callable]] = {}
         self._fills: dict[Degree, tuple[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
 
-    def staircase(self, a: Degree, b: Degree) -> tuple[tuple[int, ...], ...]:
-        """Per color, the slots of that color's block of the normal-form word
-        of x(a, b): the path from a along e_0 first, then e_1, and so on."""
+    def _read_plan(self, a: Degree, b: Degree) -> tuple[tuple[tuple[int, ...], ...], Callable]:
+        """The staircase of x(a, b) and one flat reader of its slots."""
         plan = self._reads.get((a, b))
         if plan is None:
             at = list(a)
@@ -648,8 +653,22 @@ class GridShape:
                     block.append(self.index[(tuple(at), c)])
                 at[c] = b[c]
                 blocks.append(tuple(block))
-            plan = self._reads[(a, b)] = tuple(blocks)
+            slots = tuple(slot for block in blocks for slot in block)
+            if len(slots) > 1:
+                read = itemgetter(*slots)
+            else:  # itemgetter of one slot returns the item, not a 1-tuple
+                read = lambda cells: tuple(cells[slot] for slot in slots)  # noqa: E731
+            plan = self._reads[(a, b)] = (tuple(blocks), read)
         return plan
+
+    def staircase(self, a: Degree, b: Degree) -> tuple[tuple[int, ...], ...]:
+        """Per color, the slots of that color's block of the normal-form word
+        of x(a, b): the path from a along e_0 first, then e_1, and so on."""
+        return self._read_plan(a, b)[0]
+
+    def reader(self, a: Degree, b: Degree) -> Callable[[Sequence[str]], tuple[str, ...]]:
+        """cells -> the normal-form word of x(a, b) on a grid of this shape."""
+        return self._read_plan(a, b)[1]
 
     def _fill_plan(self, mid: Degree) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
         """The slots of the path x(0, mid) x(mid, d), and the square steps
@@ -719,7 +738,7 @@ class GridShape:
 
     def word(self, cells: Sequence[str], a: Degree, b: Degree) -> tuple[str, ...]:
         """The normal-form word of x(a, b), read off a grid of this shape."""
-        return tuple(cells[slot] for block in self.staircase(a, b) for slot in block)
+        return self._read_plan(a, b)[1](cells)
 
     def vertex(self, sk: Skeleton, cells: Sequence[str], p: Degree) -> Vertex:
         """x(p): the range of a unit edge leaving p or the source of one

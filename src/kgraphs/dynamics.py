@@ -84,29 +84,27 @@ class Window:
         sk = body.skeleton
         shape, cells = grid_shape(sk, body.degree), unit_grid(body)
         ne = dv.scaled(N, sk.k)
-        self._set(sk, N, shape.word(cells, dv.zero(sk.k), ne) + shape.word(cells, ne, body.degree))
+        self.skeleton = sk
+        self.N = N
+        self.key = shape.word(cells, dv.zero(sk.k), ne) + shape.word(cells, ne, body.degree)
+        #: x(0), the vertex at the center of the box: the range of the
+        #: first edge of the future word
+        self.origin: Vertex = sk.edge_map[self.key[sk.k * N]].range
         self._grid: _Grid | None = (shape, cells, dv.zero(sk.k))
         self.body = body
 
     @classmethod
-    def _of(cls, sk: Skeleton, N: int, key: tuple[str, ...], grid: _Grid | None = None) -> "Window":
-        """The window with this key on ``grid``, or on a grid filled from the
-        key when first read."""
+    def _of(
+        cls, sk: Skeleton, N: int, key: tuple[str, ...], origin: Vertex, grid: _Grid | None = None
+    ) -> "Window":
+        """The window with this key and origin on ``grid``, or on a grid
+        filled from the key when first read."""
         w = cls.__new__(cls)
-        w._set(sk, N, key)
-        w._grid = grid
+        w.skeleton, w.N, w.key, w.origin, w._grid = sk, N, key, origin, grid
         return w
 
-    def _set(self, sk: Skeleton, N: int, key: tuple[str, ...]) -> None:
-        self.skeleton = sk
-        self.N = N
-        self.key = key
-        self._hash = hash((N, key))
-        #: x(0), the vertex at the center of the box
-        self.origin: Vertex = sk.edge_map[key[sk.k * N]].range
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.N, self.key))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -128,11 +126,12 @@ class Window:
     def _view(self, center: Degree, n: int) -> "Window":
         """The radius-n window centred at ``center`` of this one, on its grid."""
         shape, cells, corner = self._cells()
-        k = self.skeleton.k
-        lo = dv.add(corner, dv.add(center, dv.scaled(self.N - n, k)))
-        mid, hi = dv.add(lo, dv.scaled(n, k)), dv.add(lo, dv.scaled(2 * n, k))
+        sk, off = self.skeleton, self.N - n
+        lo = tuple([c + m + off for c, m in zip(corner, center)])
+        mid = tuple([c + n for c in lo])
+        hi = tuple([c + 2 * n for c in lo])
         key = shape.word(cells, lo, mid) + shape.word(cells, mid, hi)
-        return Window._of(self.skeleton, n, key, (shape, cells, lo))
+        return Window._of(sk, n, key, sk.edge_map[key[sk.k * n]].range, (shape, cells, lo))
 
     def _box(self, m: Degree, n: Degree) -> tuple[Degree, Degree]:
         """Grid coordinates of the box [m, n], checked against the window."""
@@ -303,14 +302,15 @@ def distance(x: Window, y: Window, params: MetricParams = MetricParams()) -> Dis
 
 def bracket(x: Window, y: Window) -> Window:
     """[x, y]: the window with the past of x and the future of y."""
-    if x.N != y.N:
-        raise RadiusMismatch(f"radii differ: {x.N} != {y.N}")
-    if x.skeleton != y.skeleton:
+    sk, N = x.skeleton, x.N
+    if N != y.N:
+        raise RadiusMismatch(f"radii differ: {N} != {y.N}")
+    if sk is not y.skeleton and sk != y.skeleton:
         raise GraphMismatch("windows live over different skeletons")
     if x.origin != y.origin:
         raise NotBracketable(f"origins differ: {x.origin!r} != {y.origin!r}")
-    half = x.skeleton.k * x.N
-    return Window._of(x.skeleton, x.N, x.key[:half] + y.key[half:])
+    half = sk.k * N
+    return Window._of(sk, N, x.key[:half] + y.key[half:], x.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,38 @@ def haar_weight(pd: PerronData, p: Degree, lam: Morphism) -> MeasureValue:
     )
 
 
+def fiber_masses(pd: PerronData, p: Degree, cyl: CylinderSet) -> dict[Morphism, float]:
+    """mu_{s,p}^z(Z(lam, n)) for every z at once, keyed by the future
+    x(p, join(n + d(lam), p)) that z must read.
+
+    One pass over the extensions of lam across the box [meet(n, p),
+    join(n + d(lam), p)]: each adds t^meet(n, p) a(r(ext)) to the mass of
+    its future from p on.  A future that no extension reads is absent and
+    has mass 0.  ``fiber_measure`` is one lookup into this table.
+    """
+    pd.require_same_graph(cyl.lam)
+    lam, n0 = cyl.lam, cyl.offset
+    sk = lam.skeleton
+    p = dv.as_nonneg_degree(p, sk.k)
+    n1 = cyl.top
+    box_lo = dv.meet(n0, p)
+    box_hi = dv.join(n1, p)
+    need = dv.sub(box_hi, p)
+    posts = [m for m in enumerate_morphisms(sk, dv.sub(box_hi, n1)) if m.range == lam.source]
+    skip = dv.sub(p, box_lo)
+    weight = pd.t_power(box_lo)
+    masses: dict[Morphism, float] = {}
+    for pre in enumerate_morphisms(sk, dv.sub(n0, box_lo)):
+        if pre.source != lam.range:
+            continue
+        left = compose(pre, lam)
+        for post in posts:
+            ext = compose(left, post)
+            _, future = factorize(ext, skip, need)
+            masses[future] = masses.get(future, 0.0) + weight * pd.a[ext.range]
+    return masses
+
+
 def fiber_measure(pd: PerronData, p: Degree, z: Morphism, cyl: CylinderSet) -> float:
     """mu_{s,p}^z(Z(lam, n)) for z given as a one-sided window from z(0).
 
@@ -139,30 +171,12 @@ def fiber_measure(pd: PerronData, p: Degree, z: Morphism, cyl: CylinderSet) -> f
     """
     pd.require_same_graph(z)
     pd.require_same_graph(cyl.lam)
-    sk = z.skeleton
-    p = dv.as_nonneg_degree(p, sk.k)
-    lam, n0 = cyl.lam, cyl.offset
-    n1 = cyl.top
-    box_lo = dv.meet(n0, p)
-    box_hi = dv.join(n1, p)
-    need = dv.sub(box_hi, p)
+    p = dv.as_nonneg_degree(p, z.skeleton.k)
+    need = dv.sub(dv.join(cyl.top, p), p)
     if not dv.leq(need, z.degree):
         raise OutOfBox(f"window of degree {z.degree} cannot cover depth {need}")
     z_part, _ = factorize(z, need, dv.sub(z.degree, need))
-    posts = [m for m in enumerate_morphisms(sk, dv.sub(box_hi, n1)) if m.range == lam.source]
-    skip = dv.sub(p, box_lo)
-    total = 0.0
-    weight = pd.t_power(box_lo)
-    for pre in enumerate_morphisms(sk, dv.sub(n0, box_lo)):
-        if pre.source != lam.range:
-            continue
-        left = compose(pre, lam)
-        for post in posts:
-            ext = compose(left, post)
-            _, future = factorize(ext, skip, need)
-            if future == z_part:
-                total += weight * pd.a[ext.range]
-    return total
+    return fiber_masses(pd, p, cyl).get(z_part, 0.0)
 
 
 # ---------------------------------------------------------------------------

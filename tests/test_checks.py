@@ -6,6 +6,7 @@ reports `fail`, so the class-reduced, hoisted and reduced checks keep the
 power of the loops they replace.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -17,9 +18,10 @@ from kgraphs.core import (
     _from_normal_word,
     _normalize_word,
     opposite_graph,
+    subblock,
     validate_skeleton,
 )
-from kgraphs.dynamics import all_windows, bracket, shift
+from kgraphs.dynamics import DistanceResult, MetricParams, all_windows, bracket, distance, shift
 from kgraphs.errors import NotBracketable
 from kgraphs.measure import conditional_measure
 from kgraphs.relations import stable_equiv
@@ -56,6 +58,78 @@ def test_expansiveness_catches_a_shift_that_drops_a_coordinate(g3, monkeypatch):
     result = checks.check_expansiveness(g3, CFG)
     assert result.status == "fail"
     assert "never separated" in result.detail
+
+
+def _distance_wrong_on(pair, result):
+    """distance, except that it returns ``result`` on the one unordered pair
+    of windows ``pair``."""
+
+    def wrong(x, y, params=MetricParams()):
+        return result if {x, y} == pair else distance(x, y, params)
+
+    return wrong
+
+
+def test_expansiveness_catches_a_distance_wrong_on_one_pair_of_shifted_windows(g3, monkeypatch):
+    # windows 0 and j that one pair of distinct shifted windows separates
+    # (under one or more shifts): a distance that calls that pair
+    # indistinguishable leaves them never separated
+    windows = all_windows(g3, CFG.radius)
+    shifts = list(dv.box((-1, -1), (1, 1)))
+    moved = [[shift(w, m) for m in shifts] for w in windows]
+    for j in range(1, len(windows)):
+        apart = {
+            frozenset((a, b))
+            for a, b in zip(moved[0], moved[j])
+            if distance(a, b).rho >= CFG.metric_r
+        }
+        if len(apart) == 1:
+            break
+    (pair,) = apart
+    assert checks.check_expansiveness(g3, CFG).status == "pass"
+    blind = DistanceResult(h=math.inf, rho=0.0, indistinguishable=True)
+    monkeypatch.setattr(checks, "distance", _distance_wrong_on(pair, blind))
+    result = checks.check_expansiveness(g3, CFG)
+    assert (result.status, result.detail) == (
+        "fail",
+        f"{windows[0]!r} and {windows[j]!r} are never separated",
+    )
+
+
+def test_contraction_catches_a_distance_wrong_on_one_pair_of_shifted_windows(g1, monkeypatch):
+    # at radius 2 the shifted windows of a fiber are all equal, so radius 3:
+    # sigma^e of two windows with one future still differ at x(-1, 0)
+    cfg = replace(CFG, radius=3)
+    windows = all_windows(g1, cfg.radius)
+    y = windows[0]
+    z = next(w for w in windows[1:] if w.future == y.future and shift(w, (1,)) != shift(y, (1,)))
+    pair = frozenset((shift(y, (1,)), shift(z, (1,))))
+    assert checks.check_contraction(g1, cfg).status == "pass"
+    far = DistanceResult(h=0, rho=1.0, indistinguishable=False)
+    monkeypatch.setattr(checks, "distance", _distance_wrong_on(pair, far))
+    result = checks.check_contraction(g1, cfg)
+    assert result.status == "fail"
+    assert result.detail.startswith("contraction fails at j=1")
+
+
+def test_window_consistency_catches_a_subblock_wrong_only_on_the_past_box(
+    random_skeletons, monkeypatch
+):
+    # a past x(-Ne, 0) of a swept window that no swept window has as its
+    # future: subblock calls on it come from the past box alone
+    sk = random_skeletons[2]
+    swept = checks._suite_windows(sk, CFG.radius, CFG, "window-consistency")[:80]
+    futures = {w.future for w in swept}
+    past = next(w.past for w in swept if w.past not in futures)
+
+    def wrong(lam, a, b):
+        return lam if lam == past and any(a) else subblock(lam, a, b)
+
+    assert checks.check_window_consistency(sk, CFG).status == "pass"
+    monkeypatch.setattr(checks, "subblock", wrong)
+    result = checks.check_window_consistency(sk, CFG)
+    assert result.status == "fail"
+    assert result.detail.startswith("nested extraction differs in")
 
 
 def test_opposite_involution_catches_a_wrong_opposite_square_table(random_skeletons, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from kgraphs.errors import (
     MalformedSkeleton,
     NotComposable,
     RankMismatch,
+    ValidationFailure,
 )
 from kgraphs.dynamics import all_windows
 from kgraphs.spectral import vertex_matrix
@@ -308,6 +310,27 @@ def test_make_morphism_errors(g1, g2):
     with pytest.raises(DegreeMismatch):
         make_morphism(g1, [])
     assert make_morphism(g1, [], vertex="v") == identity(g1, "v")
+
+
+def test_rewriting_names_a_missing_square(g3):
+    # g3 without its square b2*r1 = r1*b2: each rewrite that needs it,
+    # either way round, raises naming the pair it could not swap
+    squares = tuple(r for r in g3.squares if r.left != ("b2", "r1"))
+    sk = Skeleton(g3.k, g3.vertices, g3.edges, squares)
+
+    def missing(pair):
+        return pytest.raises(
+            ValidationFailure, match=re.escape(f"square table (0,1) has no entry for pair {pair}")
+        )
+
+    with missing(("r1", "b2")):
+        make_morphism(sk, ["r1", "b2"])
+    with missing(("r1", "b2")):
+        compose(make_morphism(sk, ["r1"]), make_morphism(sk, ["b2"]))
+    lam = make_morphism(sk, ["b2", "r1"])  # already in normal form
+    with missing(("b2", "r1")):
+        factorize(lam, (0, 1), (1, 0))
+    assert factorize(lam, (1, 0), (0, 1)) == (make_morphism(sk, ["b2"]), make_morphism(sk, ["r1"]))
 
 
 def test_sample_morphism_uniform(g1):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from kgraphs import checks
 from kgraphs import degrees as dv
 from kgraphs.core import compose, enumerate_morphisms, factorize, identity, make_morphism
 from kgraphs.errors import DegreeMismatch, GraphMismatch, OutOfBox
@@ -13,6 +14,7 @@ from kgraphs.measure import (
     base_measure,
     beta_transport,
     conditional_measure,
+    fiber_masses,
     fiber_measure,
     haar_weight,
     parry_measure,
@@ -269,6 +271,61 @@ def test_disintegration_identity(pd1, pd2, pd3, g1, g2, g3):
                     assert total == pytest.approx(
                         parry_measure(pd, cyl).value, abs=TOL
                     )
+
+
+def _fiber_measure_by_point(pd, p, z, cyl):
+    """The fiber mass over z as a sum of its own: every extension of lam
+    across the box whose part from p on reads z adds t^lo a(r(ext))."""
+    sk = z.skeleton
+    lam, lo, hi = cyl.lam, dv.meet(cyl.offset, p), dv.join(cyl.top, p)
+    need = dv.sub(hi, p)
+    z_part, _ = factorize(z, need, dv.sub(z.degree, need))
+    total = 0.0
+    for pre in enumerate_morphisms(sk, dv.sub(cyl.offset, lo)):
+        for post in enumerate_morphisms(sk, dv.sub(hi, cyl.top)):
+            if pre.source != lam.range or post.range != lam.source:
+                continue
+            ext = compose(compose(pre, lam), post)
+            if factorize(ext, dv.sub(p, lo), need)[1] == z_part:
+                total += pd.t_power(lo) * pd.a[ext.range]
+    return total
+
+
+@pytest.mark.parametrize("name", ["g2", "g3"])
+def test_fiber_masses_hold_every_fiber_measure(name, fixture_graphs):
+    sk = fixture_graphs[name]
+    pd = perron_data(sk)
+    zero, one = dv.zero(sk.k), dv.ones(sk.k)
+    lams = [m for d in dv.box(zero, one) for m in enumerate_morphisms(sk, d)]
+    for p in (zero, one):
+        for lam in lams:
+            for off in (zero, dv.scaled(-1, sk.k), one):
+                cyl = CylinderSet(lam, off)
+                need = dv.sub(dv.join(cyl.top, p), p)
+                masses = fiber_masses(pd, p, cyl)
+                assert all(z.degree == need for z in masses)
+                for z in enumerate_morphisms(sk, need):
+                    got = fiber_measure(pd, p, z, cyl)
+                    assert got == masses.get(z, 0.0)
+                    assert got == _fiber_measure_by_point(pd, p, z, cyl)
+                # a deeper window is cut down to the depth the box needs
+                for z in enumerate_morphisms(sk, dv.add(need, one))[:4]:
+                    head, _ = factorize(z, need, one)
+                    assert fiber_measure(pd, p, z, cyl) == masses.get(head, 0.0)
+
+
+def test_disintegration_check_catches_a_dropped_fiber_mass(g2, monkeypatch):
+    def dropped(pd, p, cyl):
+        masses = fiber_masses(pd, p, cyl)
+        del masses[next(iter(masses))]
+        return masses
+
+    cfg = checks.AnalysisConfig()
+    assert checks.check_disintegration(g2, cfg).status == "pass"
+    monkeypatch.setattr(checks, "fiber_masses", dropped)
+    result = checks.check_disintegration(g2, cfg)
+    assert result.status == "fail"
+    assert result.detail.startswith("disintegration off by")
 
 
 # ---------------------------------------------------------------------------
