@@ -1,7 +1,10 @@
 """The invariant battery behind the CLI `suite` command.
 
 Each check exercises one of the documented invariants on a given skeleton
-and reports pass/fail with a counterexample payload.  Checks that need
+and reports pass/fail with a counterexample payload.  `run_suite` builds
+one `Suite` per run and passes it to every check; the Suite computes what
+several checks read (the connectivity class, the Perron data, the window
+lists) once per run and keeps nothing on the skeleton.  Checks that need
 Perron data skip non-irreducible graphs; the mixing check skips graphs
 that are not primitive within the search bound.  Window sweeps beyond
 ``WINDOW_CAP`` fall back to seeded exact-uniform sampling, and the seed
@@ -21,6 +24,7 @@ from . import degrees as dv
 from .core import (
     Morphism,
     Skeleton,
+    Vertex,
     _box_table,
     _generator_matrix,
     _mat_mul,
@@ -72,6 +76,8 @@ from .relations import (
     window_op,
 )
 from .spectral import (
+    ConnectivityClass,
+    PerronData,
     VertexMatrix,
     af_multiplicities,
     classify_connectivity,
@@ -111,25 +117,93 @@ class CheckResult:
         return self.status == "fail"
 
 
+class _Skip(Exception):
+    """Raised by the Suite for a check that cannot run on this graph: the
+    check reports `skip` with this message as its detail."""
+
+
+class Suite:
+    """One run of the battery on one skeleton, handed to every check.
+
+    It draws the seeded rng of each check, and it holds what several checks
+    read: the connectivity class, the Perron data and, per radius with at
+    most ``WINDOW_CAP`` windows, the list of all windows.  Each is computed
+    on first use; a KGraphError raised computing it is kept, and every
+    check that reads it reports that error.  Nothing is kept on the
+    skeleton.
+    """
+
+    def __init__(self, sk: Skeleton, cfg: AnalysisConfig):
+        self.sk = sk
+        self.cfg = cfg
+        self._shared: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._shared:
+            try:
+                self._shared[key] = compute()
+            except KGraphError as exc:
+                self._shared[key] = exc
+        value = self._shared[key]
+        if isinstance(value, KGraphError):
+            raise value
+        return value
+
+    def rng(self, name: str) -> random.Random:
+        return random.Random(self.cfg.seed * 2654435761 + zlib.crc32(name.encode()))
+
+    @property
+    def connectivity(self) -> ConnectivityClass:
+        bound = self.cfg.bound_vec(self.sk.k)
+        return self._once("connectivity", lambda: classify_connectivity(self.sk, bound))
+
+    @property
+    def perron(self) -> PerronData:
+        """The Perron data; the check skips a graph that is not irreducible."""
+        if not self.connectivity.irreducible:
+            raise _Skip("not irreducible")
+        return self._once("perron", lambda: perron_data(self.sk, self.cfg.tol))
+
+    def sweep(self, n: int) -> tuple[int, tuple[Window, ...] | None]:
+        """(the number of radius-n windows, all of them if at most WINDOW_CAP)."""
+
+        def compute():
+            total = count_morphisms(self.sk, dv.scaled(2 * n, self.sk.k))
+            return total, tuple(all_windows(self.sk, n)) if total <= WINDOW_CAP else None
+
+        return self._once(("sweep", n), compute)
+
+    def windows(self, n: int, name: str) -> tuple[Window, ...]:
+        """The radius-n windows that check `name` sweeps: all of them, or
+        above WINDOW_CAP a seeded exact-uniform sample of its own."""
+        windows = self.sweep(n)[1]
+        if windows is not None:
+            return windows
+        rng = self.rng(name)
+        # higher rank makes every window operation wider; sample fewer, and
+        # dedupe so pair sweeps see distinct windows
+        wanted = max(12, SAMPLE_SIZE >> (self.sk.k - 1))
+        return tuple(dict.fromkeys(sample_window(self.sk, n, rng) for _ in range(wanted)))
+
+
 def _check(name: str):
-    """Make a battery check from a body that takes its report name: the
-    check reports under that name, also when the body raises a KGraphError."""
+    """Make a battery check ``check(suite) -> CheckResult`` from a body that
+    also takes its report name: the check reports under that name, also
+    when the body raises a KGraphError or a skip."""
 
     def register(body):
         @functools.wraps(body)
-        def check(sk: Skeleton, cfg: AnalysisConfig) -> CheckResult:
+        def check(suite: Suite) -> CheckResult:
             try:
-                return body(sk, cfg, name)
+                return body(suite, name)
+            except _Skip as exc:
+                return CheckResult(name, "skip", str(exc))
             except KGraphError as exc:
                 return CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
 
         return check
 
     return register
-
-
-def _rng(cfg: AnalysisConfig, name: str) -> random.Random:
-    return random.Random(cfg.seed * 2654435761 + zlib.crc32(name.encode()))
 
 
 def _morphisms_upto(sk: Skeleton, top: Degree, cap: int = 10**5) -> list[Morphism]:
@@ -141,33 +215,24 @@ def _morphisms_upto(sk: Skeleton, top: Degree, cap: int = 10**5) -> list[Morphis
     return out
 
 
-def _suite_windows(sk: Skeleton, n: int, cfg: AnalysisConfig, name: str) -> list[Window]:
-    total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total <= WINDOW_CAP:
-        return all_windows(sk, n)
-    rng = _rng(cfg, name)
-    # higher rank makes every window operation wider; sample fewer, and
-    # dedupe so pair sweeps see distinct windows
-    wanted = max(12, SAMPLE_SIZE >> (sk.k - 1))
-    drawn = [sample_window(sk, n, rng) for _ in range(wanted)]
-    return list(dict.fromkeys(drawn))
-
-
 # ---------------------------------------------------------------------------
 # core invariants
 # ---------------------------------------------------------------------------
 
 
 @_check("factorization-uniqueness")
-def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_factorization_uniqueness(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     two = dv.scaled(2, sk.k)
-    for d in dv.box(dv.zero(sk.k), two):
-        lams = enumerate_morphisms(sk, d, cap=ENUMERATION_CAP)
+    paths = {
+        d: enumerate_morphisms(sk, d, cap=ENUMERATION_CAP) for d in dv.box(dv.zero(sk.k), two)
+    }
+    for d, lams in paths.items():
         for n1 in dv.box(dv.zero(sk.k), d):
             n2 = dv.sub(d, n1)
             hits: dict[Morphism, list[tuple[Morphism, Morphism]]] = {}
-            for p1 in enumerate_morphisms(sk, n1, cap=ENUMERATION_CAP):
-                for p2 in enumerate_morphisms(sk, n2, cap=ENUMERATION_CAP):
+            for p1 in paths[n1]:
+                for p2 in paths[n2]:
                     if p1.source != p2.range:
                         continue
                     hits.setdefault(compose(p1, p2), []).append((p1, p2))
@@ -184,24 +249,18 @@ def check_factorization_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str)
 
 
 @_check("associativity")
-def check_associativity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_associativity(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     two = dv.scaled(2, sk.k)
+    paths = {d: enumerate_morphisms(sk, d) for d in dv.box(dv.zero(sk.k), two)}
     checked = 0
     for d1 in dv.box(dv.zero(sk.k), two):
         for d2 in dv.box(dv.zero(sk.k), dv.sub(two, d1)):
             for d3 in dv.box(dv.zero(sk.k), dv.sub(dv.sub(two, d1), d2)):
                 # the inner composites are formed once per pair, not per triple
-                for m2 in enumerate_morphisms(sk, d2):
-                    lefts = [
-                        (m1, compose(m1, m2))
-                        for m1 in enumerate_morphisms(sk, d1)
-                        if m1.source == m2.range
-                    ]
-                    rights = [
-                        (m3, compose(m2, m3))
-                        for m3 in enumerate_morphisms(sk, d3)
-                        if m2.source == m3.range
-                    ]
+                for m2 in paths[d2]:
+                    lefts = [(m1, compose(m1, m2)) for m1 in paths[d1] if m1.source == m2.range]
+                    rights = [(m3, compose(m2, m3)) for m3 in paths[d3] if m2.source == m3.range]
                     for m1, m12 in lefts:
                         for m3, m23 in rights:
                             if compose(m12, m3) != compose(m1, m23):
@@ -228,8 +287,9 @@ def _random_walk_word(sk: Skeleton, length: int, rng: random.Random) -> list[str
 
 
 @_check("normal-form-confluence")
-def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    rng = _rng(cfg, name)
+def check_normal_form_confluence(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    rng = suite.rng(name)
     colors = sk.color_of
     for _ in range(200):
         length = rng.randint(2, 6)
@@ -257,7 +317,8 @@ def check_normal_form_confluence(sk: Skeleton, cfg: AnalysisConfig, name: str) -
 
 
 @_check("opposite-involution")
-def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_opposite_involution(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     # op(op(mu)) rewrites the reversed word through the opposite graph's
     # square table and back through the original's
     for mu in _morphisms_upto(sk, dv.scaled(2, sk.k)):
@@ -280,7 +341,8 @@ def check_opposite_involution(sk: Skeleton, cfg: AnalysisConfig, name: str) -> C
 
 
 @_check("semigroup-law")
-def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_semigroup_law(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     # two engines: |L^{p+q}| read off one box table (one sparse generator
     # step per degree) against the product of two binary-power matrices
     three = dv.scaled(3, sk.k)
@@ -294,7 +356,8 @@ def check_semigroup_law(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
 
 
 @_check("generator-commutation")
-def check_generator_commutation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_generator_commutation(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     for i in range(sk.k):
         for j in range(i + 1, sk.k):
             a, b = _generator_matrix(sk, i), _generator_matrix(sk, j)
@@ -303,21 +366,10 @@ def check_generator_commutation(sk: Skeleton, cfg: AnalysisConfig, name: str) ->
     return CheckResult(name, "pass")
 
 
-def _shared_perron(sk: Skeleton, cfg: AnalysisConfig):
-    cache = sk._cache("suite")
-    key = ("pd", cfg.tol)
-    if key not in cache:
-        cc = classify_connectivity(sk, cfg.bound_vec(sk.k))
-        pd = perron_data(sk, cfg.tol) if cc.irreducible else None
-        cache[key] = (cc, pd)
-    return cache[key]
-
-
 @_check("eigen-equations")
-def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_eigen_equations(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
+    pd = suite.perron
     tol = 10 * cfg.tol
     vs = sk.vertices
     for p, entries in _box_table(sk, dv.scaled(3, sk.k)).items():
@@ -335,10 +387,8 @@ def check_eigen_equations(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
 
 
 @_check("perron-positivity")
-def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_perron_positivity(suite: Suite, name: str) -> CheckResult:
+    pd = suite.perron
     if all(t > 0 for t in pd.t) and all(x > 0 for x in pd.a.values()) and all(
         x > 0 for x in pd.b.values()
     ):
@@ -347,7 +397,8 @@ def check_perron_positivity(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
 
 
 @_check("af-consistency")
-def check_af_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_af_consistency(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
     two = dv.scaled(2, sk.k)
     table = _box_table(sk, two)
     for m in dv.box(dv.zero(sk.k), two):
@@ -371,10 +422,9 @@ _TOL_MASS = 1e-12
 
 
 @_check("measure-total-mass")
-def check_total_mass(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_total_mass(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    pd = suite.perron
     total = sum(
         parry_measure(pd, CylinderSet(identity(sk, v), dv.zero(sk.k))).value
         for v in sk.vertices
@@ -385,10 +435,9 @@ def check_total_mass(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResul
 
 
 @_check("measure-expansion")
-def check_expansion(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_expansion(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    pd = suite.perron
     lams = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=4000)
     ext_bound = dv.scaled(2 if sk.k <= 2 else 1, sk.k)
     exts = {
@@ -396,7 +445,14 @@ def check_expansion(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult
         for m in dv.box(dv.zero(sk.k), ext_bound)
         if not dv.is_zero(m)
     }
+    # mu(Z(lam)) and both sums read only the degree, range and source of lam
+    # and of its composites, which compose keeps (factorization-uniqueness
+    # and associativity check compose): evaluate each (d, r, s) class of lam
+    # once, at its first member
+    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
     for lam in lams:
+        classes.setdefault((lam.degree, lam.range, lam.source), lam)
+    for lam in classes.values():
         mu = parry_measure(pd, CylinderSet(lam, dv.zero(sk.k))).value
         for m, nus in exts.items():
             right = sum(
@@ -417,14 +473,13 @@ def check_expansion(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult
 
 
 @_check("measure-product-decomposition")
-def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_product_decomposition(suite: Suite, name: str) -> CheckResult:
     """mu(Z(v)) = (stable mass of Lambda^2e ending at v) x (unstable mass of
     Lambda^2e leaving v).  The pairwise product identity holds by algebra
     once compose is right, which factorization-uniqueness and associativity
     check."""
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+    sk = suite.sk
+    pd = suite.perron
     two = dv.scaled(2, sk.k)
     total = count_morphisms(sk, two)
     if total > ENUMERATION_CAP:
@@ -443,10 +498,9 @@ def check_product_decomposition(sk: Skeleton, cfg: AnalysisConfig, name: str) ->
 
 
 @_check("measure-haar-scaling")
-def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_haar_scaling(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    pd = suite.perron
     lams = _morphisms_upto(sk, dv.scaled(3, sk.k), cap=800)
     if len(lams) > 240:
         lams = lams[:: len(lams) // 240 + 1]
@@ -475,11 +529,10 @@ def check_haar_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRes
 
 
 @_check("measure-trace-scaling")
-def check_trace_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
-    rng = _rng(cfg, name)
+def check_trace_scaling(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    pd = suite.perron
+    rng = suite.rng(name)
     pool = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=2000)
     for _ in range(25):
         terms = tuple(
@@ -497,10 +550,9 @@ def check_trace_scaling(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
 
 
 @_check("measure-disintegration")
-def check_disintegration(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
-    if pd is None:
-        return CheckResult(name, "skip", "not irreducible")
+def check_disintegration(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    pd = suite.perron
     lams = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=400)
     if len(lams) > 18:
         lams = lams[:: len(lams) // 18 + 1]
@@ -539,7 +591,8 @@ def check_disintegration(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
 
 
 @_check("window-consistency")
-def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_window_consistency(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     k = sk.k
     ne = dv.scaled(n, k)
@@ -550,7 +603,7 @@ def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Ch
     # same outer morphism, whose subblocks at mid then differ.  Only the
     # halves repeat (the windows are distinct), so only they are kept.
     inners: dict[tuple[Morphism, Degree, Degree], Morphism] = {}
-    for w in _suite_windows(sk, n, cfg, name)[:80]:
+    for w in suite.windows(n, name)[:80]:
         # the future and the whole box share their tails x(mid, Ne)
         tails: dict[tuple[Degree, Degree], Morphism] = {}
         for lo, hi in boxes:
@@ -570,11 +623,12 @@ def check_window_consistency(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Ch
 
 
 @_check("shift-semigroup")
-def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_shift_semigroup(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     k = sk.k
     one = dv.ones(k)
-    for w in _suite_windows(sk, n + 1, cfg, name):
+    for w in suite.windows(n + 1, name):
         # sigma^{a+b} w and its restriction to radius N - |a| - |b| repeat
         # over the (a, b) with one sum: form each once
         summed: dict[Degree, Window] = {}
@@ -599,10 +653,11 @@ def check_shift_semigroup(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
 
 
 @_check("expansiveness")
-def check_expansiveness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_expansiveness(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
-    windows = _suite_windows(sk, n, cfg, name)
+    windows = suite.windows(n, name)
     # open_[i, j], i < j: no shift so far has separated windows i and j
     open_ = np.triu(np.ones((len(windows), len(windows)), dtype=bool), 1)
     for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k)):
@@ -622,10 +677,11 @@ def check_expansiveness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
 
 
 @_check("contraction-on-fibers")
-def check_contraction(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_contraction(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
-    windows = _suite_windows(sk, n, cfg, name)
+    windows = suite.windows(n, name)
     by_future: dict[Morphism, list[int]] = {}
     by_past: dict[Morphism, list[int]] = {}
     for i, w in enumerate(windows):
@@ -661,10 +717,11 @@ def check_contraction(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResu
 
 
 @_check("bracket-axioms")
-def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_bracket_axioms(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     k = sk.k
-    windows = _suite_windows(sk, n, cfg, name)
+    windows = suite.windows(n, name)
     by_origin: dict[str, list[Window]] = {}
     for w in windows:
         by_origin.setdefault(w.origin, []).append(w)
@@ -750,12 +807,11 @@ def check_bracket_axioms(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
 
 
 @_check("bracket-uniqueness")
-def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    n = cfg.radius
-    total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total > WINDOW_CAP:
+def check_bracket_uniqueness(suite: Suite, name: str) -> CheckResult:
+    sk, n = suite.sk, suite.cfg.radius
+    total, windows = suite.sweep(n)
+    if windows is None:
         return CheckResult(name, "skip", f"{total} windows exceed the sweep cap")
-    windows = all_windows(sk, n)
     seen: dict[tuple[Morphism, Morphism], int] = {}
     for w in windows:
         key = (w.past, w.future)
@@ -770,11 +826,12 @@ def check_bracket_uniqueness(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Ch
 
 
 @_check("mixing-lag")
-def check_mixing_lag(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
-    cc, pd = _shared_perron(sk, cfg)
+def check_mixing_lag(suite: Suite, name: str) -> CheckResult:
+    sk = suite.sk
+    cc = suite.connectivity
     if not cc.primitive:
         return CheckResult(name, "skip", "not primitive within the search bound")
-    rng = _rng(cfg, name)
+    rng = suite.rng(name)
     pool = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=2000)
     pool = [m for m in pool if not m.is_identity] or pool
     for _ in range(20):
@@ -893,17 +950,18 @@ def _api_cross_check(
 
 
 @_check("stable-nesting")
-def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_stable_nesting(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
     one = dv.ones(k)
-    windows = _suite_windows(sk, cfg.radius, cfg, name)
+    windows = suite.windows(cfg.radius, name)
     ne = dv.scaled(cfg.radius, k)
     eq = {m: _tail_eq(windows, m) for m in dv.box(dv.neg(ne), ne)}
     for m in dv.box(dv.neg(one), one):
         for m2 in dv.box(m, ne):
             if bool(np.any(eq[m] & ~eq[m2])):
                 return CheckResult(name, "fail", f"stable at {m} but not at {m2}")
-    rng = _rng(cfg, name + "-api")
+    rng = suite.rng(name + "-api")
     for m in (dv.neg(one), dv.zero(k), one):
         if not _api_cross_check(
             windows, [(m, eq[m])], lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
@@ -913,7 +971,7 @@ def check_stable_nesting(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckR
 
 
 @_check("relation-shift-conjugation")
-def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_shift_conjugation(suite: Suite, name: str) -> CheckResult:
     """(x, y) in G_{s,m+n} iff (sigma^m x, sigma^m y) in G_{s,n}.
 
     The shifted window reaches only to m + N'e, so at window scale
@@ -921,12 +979,13 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
     and the two agree exactly when the boxes align, i.e. for diagonal
     m = je with j >= 0.
     """
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
     one = dv.ones(k)
-    windows = _suite_windows(sk, cfg.radius, cfg, name)
+    windows = suite.windows(cfg.radius, name)
     ne = dv.scaled(cfg.radius, k)
     tail = {m: _tail_eq(windows, m) for m in dv.box(dv.neg(ne), ne)}
-    rng = _rng(cfg, name + "-api")
+    rng = suite.rng(name + "-api")
     for m in dv.box(dv.neg(one), one):
         if dv.norm_max(m) > cfg.radius - 1:
             continue
@@ -950,12 +1009,13 @@ def check_shift_conjugation(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Che
 
 
 @_check("relation-fibered-product")
-def check_fibered_product(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_fibered_product(suite: Suite, name: str) -> CheckResult:
     """stable at m iff pi(sigma^m x) = pi(sigma^m y); the boxes align for
     diagonal m = je, j >= 0, and the forward implication holds always."""
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
     one = dv.ones(k)
-    windows = _suite_windows(sk, cfg.radius, cfg, name)
+    windows = suite.windows(cfg.radius, name)
     for m in dv.box(dv.neg(one), one):
         if dv.norm_max(m) > cfg.radius - 1:
             continue
@@ -969,10 +1029,11 @@ def check_fibered_product(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
 
 
 @_check("asymptotic-meet")
-def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_asymptotic_meet(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
-    windows = _suite_windows(sk, cfg.radius, cfg, name)
-    rng = _rng(cfg, name + "-api")
+    windows = suite.windows(cfg.radius, name)
+    rng = suite.rng(name + "-api")
     for m in dv.box(dv.zero(k), dv.ones(k)):
         both = _tail_eq(windows, m) & _head_eq(windows, dv.neg(m))
         asym = _eq_matrix(
@@ -994,15 +1055,16 @@ def check_asymptotic_meet(sk: Skeleton, cfg: AnalysisConfig, name: str) -> Check
 
 
 @_check("relation-opposite-swap")
-def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_opposite_swap(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
     one = dv.ones(k)
-    windows = _suite_windows(sk, cfg.radius, cfg, name)
+    windows = suite.windows(cfg.radius, name)
     ops = [window_op(w) for w in windows]
     for w, o in zip(windows, ops):
         if window_op(o) != w:
             return CheckResult(name, "fail", f"op involution breaks on {w!r}")
-    rng = _rng(cfg, name + "-api")
+    rng = suite.rng(name + "-api")
     for m in dv.box(dv.neg(one), one):
         direct = _head_eq(windows, m)
         swapped = _tail_eq(ops, dv.neg(m))
@@ -1021,14 +1083,14 @@ def check_opposite_swap(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckRe
 
 
 @_check("semidirect-laws")
-def check_semidirect_laws(sk: Skeleton, cfg: AnalysisConfig, name: str) -> CheckResult:
+def check_semidirect_laws(suite: Suite, name: str) -> CheckResult:
+    sk, cfg = suite.sk, suite.cfg
     k = sk.k
-    rng = _rng(cfg, name)
+    rng = suite.rng(name)
     big = cfg.radius + 2
-    if count_morphisms(sk, dv.scaled(2 * big, k)) > WINDOW_CAP:
+    windows = suite.sweep(big)[1]
+    if windows is None:
         windows = [sample_window(sk, big, rng) for _ in range(24)]
-    else:
-        windows = all_windows(sk, big)
     by_origin: dict[str, list[Window]] = {}
     for w in windows:
         by_origin.setdefault(w.origin, []).append(w)
@@ -1109,4 +1171,5 @@ def run_suite(sk: Skeleton, cfg: AnalysisConfig) -> list[CheckResult]:
         return [
             CheckResult("skeleton-valid", "fail", "; ".join(v.message for v in report.violations))
         ]
-    return [CheckResult("skeleton-valid", "pass")] + [fn(sk, cfg) for fn in ALL_CHECKS]
+    suite = Suite(sk, cfg)
+    return [CheckResult("skeleton-valid", "pass")] + [fn(suite) for fn in ALL_CHECKS]

@@ -8,6 +8,7 @@ import time
 from kgraphs import degrees as dv
 from kgraphs.checks import (
     AnalysisConfig,
+    Suite,
     check_bracket_axioms,
     check_bracket_uniqueness,
     check_contraction,
@@ -66,7 +67,7 @@ def _irreducible(test_graphs):
 def test_criterion_01_factorization(test_graphs):
     def body():
         for sk in test_graphs:
-            res = check_factorization_uniqueness(sk, AnalysisConfig())
+            res = check_factorization_uniqueness(Suite(sk, AnalysisConfig()))
             assert res.status == "pass", res.detail
 
     _criterion(1, "factorization round-trip and uniqueness", 10.0, body)
@@ -188,9 +189,10 @@ def test_criterion_06_bracket(g1, g3):
     def body():
         cfg = AnalysisConfig(radius=2)
         for sk in (g1, g3):
-            axioms = check_bracket_axioms(sk, cfg)
+            suite = Suite(sk, cfg)
+            axioms = check_bracket_axioms(suite)
             assert not axioms.failed, axioms.detail
-            unique = check_bracket_uniqueness(sk, cfg)
+            unique = check_bracket_uniqueness(suite)
             assert unique.status == "pass", unique.detail
 
     _criterion(6, "bracket axioms and uniqueness, exhaustive at N=2", 30.0, body)
@@ -200,9 +202,10 @@ def test_criterion_07_expansive_contraction(fixture_graphs):
     def body():
         cfg = AnalysisConfig(radius=2)
         for sk in fixture_graphs.values():
-            exp = check_expansiveness(sk, cfg)
+            suite = Suite(sk, cfg)
+            exp = check_expansiveness(suite)
             assert not exp.failed, exp.detail
-            con = check_contraction(sk, cfg)
+            con = check_contraction(suite)
             assert not con.failed, con.detail
 
     _criterion(7, "expansiveness and fiber contraction, exhaustive at N=2", 30.0, body)
@@ -227,13 +230,14 @@ def test_criterion_09_relations(fixture_graphs):
     def body():
         cfg = AnalysisConfig(radius=2)
         for sk in fixture_graphs.values():
+            suite = Suite(sk, cfg)
             for fn in (
                 check_stable_nesting,
                 check_shift_conjugation,
                 check_fibered_product,
                 check_opposite_swap,
             ):
-                res = fn(sk, cfg)
+                res = fn(suite)
                 assert not res.failed, f"{res.name} on this graph: {res.detail}"
 
     _criterion(9, "relation identities, exhaustive at N=2", 30.0, body)

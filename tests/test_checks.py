@@ -17,15 +17,19 @@ from kgraphs.core import (
     SquareRule,
     _from_normal_word,
     _normalize_word,
+    compose,
+    count_morphisms,
+    enumerate_morphisms,
     opposite_graph,
     subblock,
     validate_skeleton,
 )
 from kgraphs.dynamics import DistanceResult, MetricParams, all_windows, bracket, distance, shift
-from kgraphs.errors import NotBracketable
+from kgraphs.errors import NotBracketable, NotConverged
 from kgraphs.measure import conditional_measure
 from kgraphs.relations import stable_equiv
 
+from conftest import GOLDEN
 from randgraphs import random_flip_2graph
 
 CFG = checks.AnalysisConfig()
@@ -33,7 +37,7 @@ CFG = checks.AnalysisConfig()
 
 def test_bracket_axioms_catch_a_bracket_that_returns_y(g3, monkeypatch):
     monkeypatch.setattr(checks, "bracket", lambda x, y: y)
-    assert checks.check_bracket_axioms(g3, CFG).status == "fail"
+    assert checks.check_bracket_axioms(checks.Suite(g3, CFG)).status == "fail"
 
 
 def test_bracket_axioms_catch_a_bracket_wrong_only_on_shifted_windows(g3, monkeypatch):
@@ -43,19 +47,19 @@ def test_bracket_axioms_catch_a_bracket_wrong_only_on_shifted_windows(g3, monkey
         return y if x.N < CFG.radius else bracket(x, y)
 
     monkeypatch.setattr(checks, "bracket", wrong)
-    result = checks.check_bracket_axioms(g3, CFG)
+    result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
     assert result.status == "fail"
     assert "commute" in result.detail
 
 
 def test_bracket_axioms_catch_a_shift_that_moves_the_wrong_way(g3, monkeypatch):
     monkeypatch.setattr(checks, "shift", lambda w, m: shift(w, tuple(-c for c in m)))
-    assert checks.check_bracket_axioms(g3, CFG).status == "fail"
+    assert checks.check_bracket_axioms(checks.Suite(g3, CFG)).status == "fail"
 
 
 def test_expansiveness_catches_a_shift_that_drops_a_coordinate(g3, monkeypatch):
     monkeypatch.setattr(checks, "shift", lambda w, m: shift(w, tuple(m[:-1]) + (0,)))
-    result = checks.check_expansiveness(g3, CFG)
+    result = checks.check_expansiveness(checks.Suite(g3, CFG))
     assert result.status == "fail"
     assert "never separated" in result.detail
 
@@ -86,10 +90,10 @@ def test_expansiveness_catches_a_distance_wrong_on_one_pair_of_shifted_windows(g
         if len(apart) == 1:
             break
     (pair,) = apart
-    assert checks.check_expansiveness(g3, CFG).status == "pass"
+    assert checks.check_expansiveness(checks.Suite(g3, CFG)).status == "pass"
     blind = DistanceResult(h=math.inf, rho=0.0, indistinguishable=True)
     monkeypatch.setattr(checks, "distance", _distance_wrong_on(pair, blind))
-    result = checks.check_expansiveness(g3, CFG)
+    result = checks.check_expansiveness(checks.Suite(g3, CFG))
     assert (result.status, result.detail) == (
         "fail",
         f"{windows[0]!r} and {windows[j]!r} are never separated",
@@ -104,10 +108,10 @@ def test_contraction_catches_a_distance_wrong_on_one_pair_of_shifted_windows(g1,
     y = windows[0]
     z = next(w for w in windows[1:] if w.future == y.future and shift(w, (1,)) != shift(y, (1,)))
     pair = frozenset((shift(y, (1,)), shift(z, (1,))))
-    assert checks.check_contraction(g1, cfg).status == "pass"
+    assert checks.check_contraction(checks.Suite(g1, cfg)).status == "pass"
     far = DistanceResult(h=0, rho=1.0, indistinguishable=False)
     monkeypatch.setattr(checks, "distance", _distance_wrong_on(pair, far))
-    result = checks.check_contraction(g1, cfg)
+    result = checks.check_contraction(checks.Suite(g1, cfg))
     assert result.status == "fail"
     assert result.detail.startswith("contraction fails at j=1")
 
@@ -118,16 +122,16 @@ def test_window_consistency_catches_a_subblock_wrong_only_on_the_past_box(
     # a past x(-Ne, 0) of a swept window that no swept window has as its
     # future: subblock calls on it come from the past box alone
     sk = random_skeletons[2]
-    swept = checks._suite_windows(sk, CFG.radius, CFG, "window-consistency")[:80]
+    swept = checks.Suite(sk, CFG).windows(CFG.radius, "window-consistency")[:80]
     futures = {w.future for w in swept}
     past = next(w.past for w in swept if w.past not in futures)
 
     def wrong(lam, a, b):
         return lam if lam == past and any(a) else subblock(lam, a, b)
 
-    assert checks.check_window_consistency(sk, CFG).status == "pass"
+    assert checks.check_window_consistency(checks.Suite(sk, CFG)).status == "pass"
     monkeypatch.setattr(checks, "subblock", wrong)
-    result = checks.check_window_consistency(sk, CFG)
+    result = checks.check_window_consistency(checks.Suite(sk, CFG))
     assert result.status == "fail"
     assert result.detail.startswith("nested extraction differs in")
 
@@ -148,9 +152,9 @@ def test_opposite_involution_catches_a_wrong_opposite_square_table(random_skelet
         word = _normalize_word(target, list(reversed(mu.word)))
         return _from_normal_word(target, word, mu.source, mu.range)
 
-    assert checks.check_opposite_involution(flip, CFG).status == "pass"
+    assert checks.check_opposite_involution(checks.Suite(flip, CFG)).status == "pass"
     monkeypatch.setattr(checks, "opposite_morphism", wrong)
-    result = checks.check_opposite_involution(flip, CFG)
+    result = checks.check_opposite_involution(checks.Suite(flip, CFG))
     assert result.status == "fail"
     assert result.detail.startswith("op(op(")
 
@@ -169,6 +173,87 @@ def test_run_suite_names_a_raising_check_by_its_report_name(g3, monkeypatch):
     assert results[1].detail == "NotBracketable: no bracket today"
 
 
+PERRON_CHECKS = (
+    "eigen-equations",
+    "perron-positivity",
+    "measure-total-mass",
+    "measure-expansion",
+    "measure-product-decomposition",
+    "measure-haar-scaling",
+    "measure-trace-scaling",
+    "measure-disintegration",
+)
+
+
+def test_a_failing_perron_data_is_computed_once_and_reported_by_every_perron_check(
+    g2, monkeypatch
+):
+    calls = []
+
+    def stalled(sk, tol):
+        calls.append(tol)
+        raise NotConverged("power iteration did not reach residual 1e-12")
+
+    monkeypatch.setattr(checks, "perron_data", stalled)
+    results = {r.name: r for r in checks.run_suite(g2, CFG)}
+    assert len(calls) == 1
+    for name in PERRON_CHECKS:
+        assert (results[name].status, results[name].detail) == (
+            "fail",
+            "NotConverged: power iteration did not reach residual 1e-12",
+        )
+    # the mixing check reads the connectivity class only
+    assert results["mixing-lag"].status == "pass"
+
+
+def test_a_suite_builds_each_exhaustive_window_list_once(g3, monkeypatch):
+    # radius 2 is swept exhaustively by ten checks; radii 3 and 4 (shift
+    # semigroup, semidirect laws) are above the cap and sampled
+    radii = []
+
+    def counted(sk, n, *args):
+        radii.append(n)
+        return all_windows(sk, n, *args)
+
+    assert count_morphisms(g3, (4, 4)) <= checks.WINDOW_CAP < count_morphisms(g3, (6, 6))
+    monkeypatch.setattr(checks, "all_windows", counted)
+    results = checks.run_suite(g3, CFG)
+    assert not [r for r in results if r.failed]
+    assert radii == [CFG.radius]
+
+
+def test_expansion_catches_a_compose_wrong_on_one_class(g2, monkeypatch):
+    # the class of lam = (degree, range, source): degree-2 loops at u.  A
+    # compose that drops its second factor when both factors lie in that
+    # class is called so only by sums over lam in the class
+    cls = ((2,), "u", "u")
+    members = [
+        lam for lam in enumerate_morphisms(g2, (2,)) if (lam.degree, lam.range, lam.source) == cls
+    ]
+    assert len(members) >= 2
+
+    def wrong(a, b):
+        if {(m.degree, m.range, m.source) for m in (a, b)} == {cls}:
+            return a
+        return compose(a, b)
+
+    assert checks.check_expansion(checks.Suite(g2, CFG)).status == "pass"
+    monkeypatch.setattr(checks, "compose", wrong)
+    result = checks.check_expansion(checks.Suite(g2, CFG))
+    assert result.status == "fail"
+    assert result.detail.startswith(f"expansion of {members[0]!r} by ")
+
+
+def test_random_suites_match_the_golden_rows(random_suites):
+    # the rank-2 and rank-3 graphs sweep seeded window samples: every
+    # (name, status, detail) row is pinned
+    rows = []
+    for i, results in enumerate(random_suites):
+        rows.append(f"# make_random_skeletons(7)[{i}]")
+        rows += [f"{r.name}\t{r.status}\t{r.detail}".rstrip() for r in results]
+    assert "\n".join(rows) + "\n" == (GOLDEN / "random7-suite.txt").read_text()
+
+
 def test_product_decomposition_catches_a_stable_mass_read_at_the_source(g2, monkeypatch):
     # a(s(lam)) in place of a(r(lam)): the box masses at each vertex of the
     # two-vertex golden-mean graph no longer multiply to mu(Z(v))
@@ -179,7 +264,7 @@ def test_product_decomposition_catches_a_stable_mass_read_at_the_source(g2, monk
         return replace(right, value=pd.t_power(dv.neg(lam.degree)) * pd.a[lam.source])
 
     monkeypatch.setattr(checks, "conditional_measure", wrong)
-    result = checks.check_product_decomposition(g2, CFG)
+    result = checks.check_product_decomposition(checks.Suite(g2, CFG))
     assert result.status == "fail"
     assert result.detail.startswith("fiber masses at")
 
@@ -187,9 +272,9 @@ def test_product_decomposition_catches_a_stable_mass_read_at_the_source(g2, monk
 def test_product_decomposition_reaches_degree_2e_on_a_large_flip_graph(monkeypatch):
     # 49 loop pairs: the box of degree 2e holds 7^4 paths
     sk = random_flip_2graph(random.Random(1), 7, 7)
-    assert checks.check_product_decomposition(sk, CFG).status == "pass"
+    assert checks.check_product_decomposition(checks.Suite(sk, CFG)).status == "pass"
     monkeypatch.setattr(checks, "ENUMERATION_CAP", 7**4 - 1)
-    result = checks.check_product_decomposition(sk, CFG)
+    result = checks.check_product_decomposition(checks.Suite(sk, CFG))
     assert (result.status, result.detail) == (
         "skip",
         "|Lambda^(2, 2)| = 2401 exceeds the enumeration cap",
@@ -202,14 +287,14 @@ def test_shift_conjugation_catches_a_stable_equiv_wrong_only_on_shifted_windows(
         return stable_equiv(q) != (q.x.N < CFG.radius)
 
     monkeypatch.setattr(checks, "stable_equiv", wrong)
-    assert checks.check_stable_nesting(g3, CFG).status == "pass"
-    result = checks.check_shift_conjugation(g3, CFG)
+    assert checks.check_stable_nesting(checks.Suite(g3, CFG)).status == "pass"
+    result = checks.check_shift_conjugation(checks.Suite(g3, CFG))
     assert (result.status, result.detail) == ("fail", "stable_equiv disagrees on shifted pairs")
 
 
 def test_shift_conjugation_catches_a_shift_that_moves_the_wrong_way(g3, monkeypatch):
     monkeypatch.setattr(checks, "shift", lambda w, m: shift(w, dv.neg(m)))
-    result = checks.check_shift_conjugation(g3, CFG)
+    result = checks.check_shift_conjugation(checks.Suite(g3, CFG))
     assert result.status == "fail"
     assert result.detail.startswith("G_(s,")
 

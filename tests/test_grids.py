@@ -115,10 +115,11 @@ def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons, random_
     assert not {"shift", "bracket"} & set(g3._memo)
     # a whole suite leaves only the binary powers M_c^(2^j) of the
     # generators (no vertex matrix above degree 4e: j <= 2), grid shapes
-    # keyed by degree, the opposite graph and the shared Perron data
+    # keyed by degree and the opposite graph; what the checks share lives
+    # in the run's Suite
     suites = [(g3, run_suite(g3, AnalysisConfig())), (random_skeletons[4], random_suites[4])]
     for sk, results in suites:
         assert not [r for r in results if r.failed]
         for held in (sk, opposite_graph(sk)):
-            assert set(held._memo) <= {"powers", "grid", "opposite", "suite"}
+            assert set(held._memo) <= {"powers", "grid", "opposite"}
             assert len(held._memo.get("powers", ())) <= 3 * held.k

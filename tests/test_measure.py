@@ -321,9 +321,9 @@ def test_disintegration_check_catches_a_dropped_fiber_mass(g2, monkeypatch):
         return masses
 
     cfg = checks.AnalysisConfig()
-    assert checks.check_disintegration(g2, cfg).status == "pass"
+    assert checks.check_disintegration(checks.Suite(g2, cfg)).status == "pass"
     monkeypatch.setattr(checks, "fiber_masses", dropped)
-    result = checks.check_disintegration(g2, cfg)
+    result = checks.check_disintegration(checks.Suite(g2, cfg))
     assert result.status == "fail"
     assert result.detail.startswith("disintegration off by")
 
