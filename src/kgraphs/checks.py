@@ -510,7 +510,15 @@ def check_haar_scaling(suite: Suite, name: str) -> CheckResult:
         for p in dv.box(dv.zero(sk.k), ext_bound)
         if not dv.is_zero(p)
     }
+    # mu_s(Z(lam)), haar_weight(p, lam) and mu_s(Z(lam xi)) read only the
+    # degree and range of lam and of lam xi, and xi ranges over the paths
+    # with r(xi) = s(lam); compose keeps d, r and s (factorization-uniqueness
+    # and associativity check compose): evaluate each (d, r, s) class of the
+    # sample once, at its first member
+    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
     for lam in lams:
+        classes.setdefault((lam.degree, lam.range, lam.source), lam)
+    for lam in classes.values():
         base = conditional_measure(pd, "stable", lam).value
         for p in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
             hw = haar_weight(pd, p, lam)

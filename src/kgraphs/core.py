@@ -293,7 +293,7 @@ def _normalize_word(sk: Skeleton, word: Sequence[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Morphism:
     """A path of the k-graph, stored as its color-normal word.
 
@@ -301,6 +301,9 @@ class Morphism:
     normal-form word: the color-0 edge ids first, then the color-1 ones,
     and so on, each block in composition order, reading from the range end.
     Degree-0 morphisms are vertex identities, with the empty word.
+
+    The constructor checks nothing.  The functions of this module that
+    make morphisms check their inputs, then build through ``_morphism``.
     """
 
     skeleton: Skeleton = field(repr=False)
@@ -308,6 +311,7 @@ class Morphism:
     word: tuple[str, ...]
     range: Vertex
     source: Vertex
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -315,7 +319,7 @@ class Morphism:
         )
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -339,19 +343,43 @@ class Morphism:
         return dv.is_zero(self.degree)
 
 
+_new_morphism = object.__new__
+_set_skeleton = Morphism.skeleton.__set__
+_set_degree = Morphism.degree.__set__
+_set_word = Morphism.word.__set__
+_set_range = Morphism.range.__set__
+_set_source = Morphism.source.__set__
+_set_hash = Morphism._hash.__set__
+
+
+def _morphism(
+    sk: Skeleton, degree: Degree, word: tuple[str, ...], rng: Vertex, src: Vertex
+) -> Morphism:
+    """The Morphism with these fields, filled slot by slot: the same object
+    ``Morphism(...)`` builds, without its frozen-dataclass ``__init__``."""
+    m = _new_morphism(Morphism)
+    _set_skeleton(m, sk)
+    _set_degree(m, degree)
+    _set_word(m, word)
+    _set_range(m, rng)
+    _set_source(m, src)
+    _set_hash(m, hash((degree, word, rng, src)))
+    return m
+
+
 def _from_normal_word(sk: Skeleton, word: Sequence[str], rng: Vertex, src: Vertex) -> Morphism:
     # trusted fast path: word already color-sorted and composable
     degree = [0] * sk.k
     colors = sk.color_of
     for eid in word:
         degree[colors[eid]] += 1
-    return Morphism(sk, tuple(degree), tuple(word), rng, src)
+    return _morphism(sk, tuple(degree), tuple(word), rng, src)
 
 
 def identity(sk: Skeleton, v: Vertex) -> Morphism:
     if v not in sk.vertices:
         raise MalformedSkeleton(f"unknown vertex {v!r}")
-    return Morphism(sk, dv.zero(sk.k), (), v, v)
+    return _morphism(sk, dv.zero(sk.k), (), v, v)
 
 
 def make_morphism(sk: Skeleton, edge_ids: Sequence[str], vertex: Vertex | None = None) -> Morphism:
@@ -571,7 +599,7 @@ def compose(mu: Morphism, nu: Morphism) -> Morphism:
         raise NotComposable(f"s({mu!r}) = {mu.source!r} != r({nu!r}) = {nu.range!r}")
     sk = mu.skeleton
     word = _normalize_word(sk, mu.word + nu.word)
-    return Morphism(sk, dv.add(mu.degree, nu.degree), tuple(word), mu.range, nu.source)
+    return _morphism(sk, dv.add(mu.degree, nu.degree), tuple(word), mu.range, nu.source)
 
 
 def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
@@ -588,6 +616,19 @@ def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
     return word.pop(0)
 
 
+def _split(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism]:
+    """factorize for degrees the caller knows to be valid: n1, n2 in N^k
+    with n1 + n2 = d(lam)."""
+    sk = lam.skeleton
+    word = list(lam.word)
+    head = [_peel_color(sk, word, c) for c, _ in _peel(n1)]
+    mid = lam.range if not head else sk.edge_map[head[-1]].source
+    return (
+        _morphism(sk, n1, tuple(head), lam.range, mid),
+        _morphism(sk, n2, tuple(word), mid, lam.source),
+    )
+
+
 def factorize(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism]:
     """The unique pair (nu1, nu2) with d(nu1) = n1, d(nu2) = n2, nu1*nu2 = lam."""
     sk = lam.skeleton
@@ -595,13 +636,7 @@ def factorize(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism
     n2 = dv.as_degree(n2, sk.k)
     if not (dv.is_nonneg(n1) and dv.is_nonneg(n2)) or dv.add(n1, n2) != lam.degree:
         raise DegreeMismatch(f"{n1} + {n2} != d(lam) = {lam.degree}")
-    word = list(lam.word)
-    head = [_peel_color(sk, word, c) for c, _ in _peel(n1)]
-    mid = lam.range if not head else sk.edge_map[head[-1]].source
-    return (
-        Morphism(sk, n1, tuple(head), lam.range, mid),
-        Morphism(sk, n2, tuple(word), mid, lam.source),
-    )
+    return _split(lam, n1, n2)
 
 
 def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
@@ -611,8 +646,8 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
     b = dv.as_degree(b, sk.k)
     if not (dv.is_nonneg(a) and dv.leq(a, b) and dv.leq(b, lam.degree)):
         raise DegreeMismatch(f"box [{a}, {b}] does not sit inside [0, {lam.degree}]")
-    _, tail = factorize(lam, a, dv.sub(lam.degree, a))
-    mid, _ = factorize(tail, dv.sub(b, a), dv.sub(lam.degree, b))
+    _, tail = _split(lam, a, dv.sub(lam.degree, a))
+    mid, _ = _split(tail, dv.sub(b, a), dv.sub(lam.degree, b))
     return mid
 
 
@@ -758,7 +793,7 @@ class GridShape:
             rng, src = sk.edge_map[word[0]].range, sk.edge_map[word[-1]].source
         else:
             rng = src = self.vertex(sk, cells, a)
-        return Morphism(sk, dv.sub(b, a), word, rng, src)
+        return _morphism(sk, dv.sub(b, a), word, rng, src)
 
 
 def grid_shape(sk: Skeleton, d: Degree) -> GridShape:

@@ -6,6 +6,7 @@ All comparisons are coordinatewise.  The distinguished constants are
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -32,28 +33,42 @@ def unit(i: int, k: int) -> Degree:
     return tuple(1 if c == i else 0 for c in range(k))
 
 
+def _rank_mismatch(a: Degree, b: Degree) -> ValueError:
+    return ValueError(f"degree vectors {a!r} and {b!r} have different lengths")
+
+
 def add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _rank_mismatch(a, b)
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _rank_mismatch(a, b)
+    return tuple(map(operator.sub, a, b))
 
 
 def neg(a: Degree) -> Degree:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def leq(a: Degree, b: Degree) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _rank_mismatch(a, b)
+    return all(map(operator.le, a, b))
 
 
 def meet(a: Degree, b: Degree) -> Degree:
-    return tuple(min(x, y) for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _rank_mismatch(a, b)
+    return tuple(map(min, a, b))
 
 
 def join(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise _rank_mismatch(a, b)
+    return tuple(map(max, a, b))
 
 
 def is_nonneg(a: Degree) -> bool:
@@ -80,7 +95,7 @@ def box(lo: Degree, hi: Degree) -> Iterator[Degree]:
 
 
 def as_degree(value: Iterable[int], k: int) -> Degree:
-    d = tuple(int(x) for x in value)
+    d = tuple(map(int, value))
     if len(d) != k:
         raise ValueError(f"expected a length-{k} degree vector, got {d!r}")
     return d

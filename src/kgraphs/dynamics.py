@@ -27,12 +27,13 @@ from .core import (
     Vertex,
     _chain,
     _from_normal_word,
+    _morphism,
     _peel,
     _pick,
+    _split,
     compose,
     count_morphisms,
     enumerate_morphisms,
-    factorize,
     grid_shape,
     make_morphism,
     sample_morphism,
@@ -179,7 +180,7 @@ class Window:
     def _half(self, start: int, rng: Vertex, src: Vertex) -> Morphism:
         # a half is a normal-form word of degree Ne: N edges of each color
         sk, size = self.skeleton, self.skeleton.k * self.N
-        return Morphism(sk, dv.scaled(self.N, sk.k), self.key[start : start + size], rng, src)
+        return _morphism(sk, dv.scaled(self.N, sk.k), self.key[start : start + size], rng, src)
 
     @cached_property
     def body(self) -> Morphism:
@@ -337,7 +338,7 @@ def local_product_enum(sk: Skeleton, v: Vertex, n: int, cap: int = 10**6) -> Loc
     pasts = tuple(m for m in halves if m.source == v)
     nwin = 0
     for body in enumerate_morphisms(sk, dv.scaled(2 * n, sk.k), cap=cap):
-        mid, _ = factorize(body, ne, ne)
+        mid, _ = _split(body, ne, ne)
         if mid.source == v:
             nwin += 1
     return LocalProduct(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degrees as dv
-from .core import Morphism, compose, enumerate_morphisms, factorize, identity
+from .core import Morphism, _split, compose, enumerate_morphisms, identity
 from .degrees import Degree
 from .errors import DegreeMismatch, OutOfBox
 from .spectral import PerronData
@@ -156,7 +156,7 @@ def fiber_masses(pd: PerronData, p: Degree, cyl: CylinderSet) -> dict[Morphism, 
         left = compose(pre, lam)
         for post in posts:
             ext = compose(left, post)
-            _, future = factorize(ext, skip, need)
+            _, future = _split(ext, skip, need)
             masses[future] = masses.get(future, 0.0) + weight * pd.a[ext.range]
     return masses
 
@@ -175,7 +175,7 @@ def fiber_measure(pd: PerronData, p: Degree, z: Morphism, cyl: CylinderSet) -> f
     need = dv.sub(dv.join(cyl.top, p), p)
     if not dv.leq(need, z.degree):
         raise OutOfBox(f"window of degree {z.degree} cannot cover depth {need}")
-    z_part, _ = factorize(z, need, dv.sub(z.degree, need))
+    z_part, _ = _split(z, need, dv.sub(z.degree, need))
     return fiber_masses(pd, p, cyl).get(z_part, 0.0)
 
 

@@ -244,6 +244,28 @@ def test_expansion_catches_a_compose_wrong_on_one_class(g2, monkeypatch):
     assert result.detail.startswith(f"expansion of {members[0]!r} by ")
 
 
+def test_haar_scaling_catches_a_compose_wrong_on_one_class(g2, monkeypatch):
+    # the same one-class compose fault: lam xi with both factors degree-2
+    # loops at u is reached only from lam in that class, which the check
+    # evaluates at its first member
+    cls = ((2,), "u", "u")
+    members = [
+        lam for lam in enumerate_morphisms(g2, (2,)) if (lam.degree, lam.range, lam.source) == cls
+    ]
+    assert len(members) >= 2
+
+    def wrong(a, b):
+        if {(m.degree, m.range, m.source) for m in (a, b)} == {cls}:
+            return a
+        return compose(a, b)
+
+    assert checks.check_haar_scaling(checks.Suite(g2, CFG)).status == "pass"
+    monkeypatch.setattr(checks, "compose", wrong)
+    result = checks.check_haar_scaling(checks.Suite(g2, CFG))
+    assert result.status == "fail"
+    assert result.detail.endswith(f"breaks at {members[0]!r}")
+
+
 def test_random_suites_match_the_golden_rows(random_suites):
     # the rank-2 and rank-3 graphs sweep seeded window samples: every
     # (name, status, detail) row is pinned

@@ -3,14 +3,17 @@
 import itertools
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from kgraphs import degrees as dv
 from kgraphs.core import (
     ColoredEdge,
+    Morphism,
     Skeleton,
     SquareRule,
+    _morphism,
     combine,
     compose,
     count_morphisms,
@@ -384,6 +387,25 @@ def test_a_morphism_is_its_normal_word(fixture_graphs, random_skeletons):
             same = first.setdefault((m.skeleton, m.word, m.range, m.source), m)
             assert m == same and hash(m) == hash(same)
         assert len(set(made)) == len(first) < len(made)
+
+
+def test_trusted_constructor_builds_the_public_morphism(fixture_graphs):
+    # _morphism fills the slots that Morphism(...) fills through its frozen
+    # __init__: the two objects are interchangeable, and both stay frozen
+    # and carry no per-instance __dict__
+    for sk in fixture_graphs.values():
+        for lam in enumerate_morphisms(sk, dv.zero(sk.k)) + enumerate_morphisms(sk, dv.ones(sk.k)):
+            fields = (sk, lam.degree, lam.word, lam.range, lam.source)
+            trusted, public = _morphism(*fields), Morphism(*fields)
+            assert trusted == public == lam
+            assert hash(trusted) == hash(public) == hash(lam)
+            assert repr(trusted) == repr(public)
+            for m in (trusted, public):
+                assert not hasattr(m, "__dict__")
+                with pytest.raises(FrozenInstanceError):
+                    m.word = ()
+                with pytest.raises(FrozenInstanceError):
+                    m.degree = dv.zero(sk.k)
 
 
 # ---------------------------------------------------------------------------

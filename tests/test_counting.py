@@ -1,7 +1,7 @@
 """Counts, vertex matrices, enumeration and sampling at degrees far beyond
 the interpreter's recursion limit, each against an independent closed form;
-the two matrix engines against dense generator products; and the memory
-the counting engine keeps."""
+the two matrix engines against dense generator products; the memory the
+counting engine keeps; and the degree checks of the public API."""
 
 import json
 import random
@@ -20,11 +20,15 @@ from kgraphs.core import (
     combine,
     count_morphisms,
     enumerate_morphisms,
+    factorize,
     sample_morphism,
+    subblock,
 )
-from kgraphs.dynamics import connecting_morphism
+from kgraphs.dynamics import connecting_morphism, sample_window, shift
 from kgraphs.errors import DegreeMismatch
-from kgraphs.spectral import classify_connectivity, vertex_matrix
+from kgraphs.measure import base_measure, haar_weight
+from kgraphs.relations import RelationQuery, stable_equiv, unstable_equiv
+from kgraphs.spectral import af_multiplicities, classify_connectivity, perron_data, vertex_matrix
 
 from conftest import FIXTURES, load_fixture
 from randgraphs import random_1graph, random_flip_2graph
@@ -81,11 +85,56 @@ def test_negative_degrees_are_rejected(g3, call):
         lambda sk: enumerate_morphisms(sk, (1, 1, 1)),
         lambda sk: sample_morphism(sk, (2,), random.Random(0)),
         lambda sk: vertex_matrix(sk, (1, 2, 3)),
+        lambda sk: factorize(_path(sk), (1,), (0, 1)),
+        lambda sk: factorize(_path(sk), (1, 0), (0, 1, 0)),
+        lambda sk: subblock(_path(sk), (0,), (1, 1)),
+        lambda sk: subblock(_path(sk), (0, 0), (1, 1, 1)),
+        lambda sk: shift(_window(sk), (1,)),
+        lambda sk: stable_equiv(RelationQuery(_window(sk), _window(sk), (0, 0, 0))),
+        lambda sk: unstable_equiv(RelationQuery(_window(sk), _window(sk), (0,))),
+        lambda sk: haar_weight(perron_data(sk), (1,), _path(sk)),
+        lambda sk: base_measure(perron_data(sk), (1, 0, 0), _path(sk)),
+        lambda sk: af_multiplicities(sk, (1,), (1, 1)),
+        lambda sk: af_multiplicities(sk, (1, 1), (1, 1, 1)),
     ],
 )
 def test_wrong_length_degrees_are_rejected(g3, call):
     with pytest.raises(ValueError):
         call(g3)
+
+
+def _path(sk):
+    return enumerate_morphisms(sk, (1, 1))[-1]
+
+
+def _window(sk):
+    return sample_window(sk, 2, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: factorize(lam, (-1, 1), (2, 0)),
+        lambda lam: factorize(lam, (2, 1), (-1, 0)),
+        lambda lam: factorize(lam, (1, 0), (1, 0)),
+        lambda lam: factorize(lam, (2, 1), (0, 0)),
+        lambda lam: subblock(lam, (-1, 0), (1, 1)),
+        lambda lam: subblock(lam, (0, 0), (2, 1)),
+        lambda lam: subblock(lam, (1, 0), (0, 1)),
+        lambda lam: subblock(lam, (0, -1), (0, -1)),
+    ],
+)
+def test_negative_and_out_of_box_splits_are_rejected(g3, call):
+    with pytest.raises(DegreeMismatch):
+        call(_path(g3))
+
+
+@pytest.mark.parametrize("op", [dv.add, dv.sub, dv.leq, dv.meet, dv.join])
+def test_degree_helpers_reject_a_rank_mismatch(op):
+    op((1, 2), (3, 4))
+    for a, b in [((1, 2), (3,)), ((1,), (3, 4)), ((), (0,))]:
+        with pytest.raises(ValueError):
+            op(a, b)
 
 
 def _dense_product(sk, p):
