@@ -342,16 +342,16 @@ def check_opposite_involution(suite: Suite, name: str) -> CheckResult:
 
 @_check("semigroup-law")
 def check_semigroup_law(suite: Suite, name: str) -> CheckResult:
+    """|Lambda^p| from two engines over p in [0, 6e]: binary powers of the
+    generators (``vertex_matrix``) against one sparse generator step per
+    degree (the box table).  Both build the ordered product
+    M_0^(p_0) ... M_(k-1)^(p_(k-1)), so with commuting generators
+    (generator-commutation) |Lambda^(p+q)| = |Lambda^p||Lambda^q| follows
+    for every p, q >= 0 with p + q <= 6e; no pairwise product is formed."""
     sk = suite.sk
-    # two engines: |L^{p+q}| read off one box table (one sparse generator
-    # step per degree) against the product of two binary-power matrices
-    three = dv.scaled(3, sk.k)
-    table = _box_table(sk, dv.scaled(6, sk.k))
-    mats = {p: vertex_matrix(sk, p).entries for p in dv.box(dv.zero(sk.k), three)}
-    for p, mp in mats.items():
-        for q, mq in mats.items():
-            if table[dv.add(p, q)] != _mat_mul(mp, mq):
-                return CheckResult(name, "fail", f"|L^{p}+{q}| != |L^{p}||L^{q}|")
+    for p, entries in _box_table(sk, dv.scaled(6, sk.k)).items():
+        if vertex_matrix(sk, p).entries != entries:
+            return CheckResult(name, "fail", f"binary powers and the box table differ at |L^{p}|")
     return CheckResult(name, "pass")
 
 
@@ -733,49 +733,23 @@ def check_bracket_axioms(suite: Suite, name: str) -> CheckResult:
     by_origin: dict[str, list[Window]] = {}
     for w in windows:
         by_origin.setdefault(w.origin, []).append(w)
+    # [x, y] reads only (x.past, y.future) of windows through one origin, so
+    # one bracket per (past, future) class, against the window glued by
+    # compose, carries the content of every pair: both halves and both
+    # associativity identities follow, and [x, x] = x with
+    # bracket-uniqueness.  The body is compared too: it reads the grid the
+    # bracket fills from its key.
     for group in by_origin.values():
-        for x in group:
-            if bracket(x, x) != x:
-                return CheckResult(name, "fail", f"[x,x] != x at {x!r}")
-        # every identity below is a statement about the halves only, so the
-        # (past, future) combinations carry the full exhaustive content
-        pasts = sorted({w.past for w in group}, key=lambda m: m.word)
-        futures = sorted({w.future for w in group}, key=lambda m: m.word)
-        reps = {(w.past, w.future): w for w in group}
-        for past in pasts:
-            for fut in futures:
-                z = Window(n, compose(past, fut))
-                if z.past != past or z.future != fut:
-                    return CheckResult(name, "fail", "bracket does not glue halves")
-                reps.setdefault((past, fut), z)
-        half = k * n  # a key is the past word, then the future word
-        tails = [y.key[half:] for y in group]
-        for x in group:
-            head = x.key[:half]
-            for y, tail in zip(group, tails):
-                z = bracket(x, y)
-                if z.key[:half] != head or z.key[half:] != tail:
-                    return CheckResult(name, "fail", f"[{x!r},{y!r}] mixes halves")
-        # [[x,y],z] reads only (x.past, y.future, z.future) and [x,[y,z]]
-        # only (x.past, y.past, z.future); sweep those coordinates fully.
-        # The inner brackets read two of the three: form each once.
-        fill_p, fill_f = pasts[0], futures[0]
-        yzs = {
-            fc: [bracket(reps[(py, fill_f)], reps[(fill_p, fc)]) for py in pasts]
-            for fc in futures
-        }
-        for pa in pasts:
-            x = reps[(pa, fill_f)]
-            xys = [bracket(x, reps[(fill_p, fy)]) for fy in futures]
-            for fc in futures:
-                z = reps[(fill_p, fc)]
-                xz = bracket(x, z)
-                for xy in xys:
-                    if bracket(xy, z) != xz:
-                        return CheckResult(name, "fail", "[[x,y],z] != [x,z]")
-                for yz in yzs[fc]:
-                    if bracket(x, yz) != xz:
-                        return CheckResult(name, "fail", "[x,[y,z]] != [x,z]")
+        pasts: dict[Morphism, Window] = {}
+        futures: dict[Morphism, Window] = {}
+        for w in group:
+            pasts.setdefault(w.past, w)
+            futures.setdefault(w.future, w)
+        for past, x in pasts.items():
+            for fut, y in futures.items():
+                z, glued = bracket(x, y), Window(n, compose(past, fut))
+                if z != glued or z.body != glued.body:
+                    return CheckResult(name, "fail", f"[{x!r},{y!r}] is not the glued window")
     # shift commutation, gated on agreement over the translation strip
     # (the two sides read different paths inside the strip otherwise).
     # [sx, sy] reads only (sx.past, sy.future) and sigma^m [x, y] only

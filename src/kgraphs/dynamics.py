@@ -166,14 +166,14 @@ class Window:
         shape, cells, _ = self._cells()
         return shape.morphism(self.skeleton, cells, lo, hi)
 
-    @cached_property
+    @property
     def past(self) -> Morphism:
-        """x(-Ne, 0)."""
+        """x(-Ne, 0), rebuilt from the key on each read."""
         return self._half(0, self.skeleton.edge_map[self.key[0]].range, self.origin)
 
-    @cached_property
+    @property
     def future(self) -> Morphism:
-        """x(0, Ne)."""
+        """x(0, Ne), rebuilt from the key on each read."""
         end = self.skeleton.edge_map[self.key[-1]].source
         return self._half(self.skeleton.k * self.N, self.origin, end)
 

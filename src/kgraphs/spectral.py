@@ -313,32 +313,6 @@ ProbeResult = AperiodicWitness | GlobalPeriod | InconclusiveProbe
 _PROBE_CAP = 50_000
 
 
-def _unit_grid(w: Morphism) -> dict[tuple[Degree, int], str]:
-    """Edge id of every unit sub-block, keyed by (corner, color); a
-    morphism is determined by this grid."""
-    return dict(zip(grid_shape(w.skeleton, w.degree).units, unit_grid(w)))
-
-
-def _invariance(
-    grid: dict[tuple[Degree, int], str], dmax: Degree, p: Degree, offset: Degree, k: int
-) -> tuple[bool, bool]:
-    """(some comparison exists, all comparisons agree) for period p from offset."""
-    compared = False
-    for (c, i), eid in grid.items():
-        if not dv.leq(offset, c):
-            continue
-        shifted = dv.add(c, p)
-        if not dv.leq(offset, shifted):
-            continue
-        top = dv.add(shifted, dv.unit(i, k))
-        if not (dv.is_nonneg(shifted) and dv.leq(top, dmax)):
-            continue
-        compared = True
-        if grid[(shifted, i)] != eid:
-            return True, False
-    return compared, True
-
-
 def aperiodicity_probe(sk: Skeleton, depth: int) -> ProbeResult:
     """Bounded semi-decision for the aperiodicity condition.
 
@@ -356,24 +330,31 @@ def aperiodicity_probe(sk: Skeleton, depth: int) -> ProbeResult:
     if count_morphisms(sk, big) > _PROBE_CAP:
         return InconclusiveProbe(f"|Lambda^{big}| exceeds the probe cap {_PROBE_CAP}")
     windows = enumerate_morphisms(sk, big)
-    grids = {w: _unit_grid(w) for w in windows}
+    grids = {w: unit_grid(w) for w in windows}
     candidates = sorted(
         (p for p in dv.box(dv.scaled(-depth, sk.k), dv.scaled(depth, sk.k)) if not dv.is_zero(p)),
         key=lambda p: (dv.norm_max(p), p),
     )
-    global_periods = tuple(
-        p
-        for p in candidates
-        if all(_invariance(grids[w], big, p, dv.zero(sk.k), sk.k)[1] for w in windows)
-    )
+    # per period p, the slots of the unit edges (c, i) and (c + p, i) that
+    # both lie in the box: a grid is p-invariant when each pair agrees
+    shape = grid_shape(sk, big)
+    slots: dict[Degree, list[tuple[int, int]]] = {p: [] for p in candidates}
+    for here, (c, i) in enumerate(shape.units):
+        for p, pairs in slots.items():
+            there = shape.index.get((dv.add(c, p), i))
+            if there is not None:
+                pairs.append((here, there))
+
+    def invariant(cells: list[str], p: Degree) -> bool:
+        return all(cells[a] == cells[b] for a, b in slots[p])
+
+    global_periods = tuple(p for p in candidates if all(invariant(grids[w], p) for w in windows))
     if global_periods:
         return GlobalPeriod(global_periods)
     witnesses: dict[Vertex, Morphism] = {}
     for v in sk.vertices:
         for w in windows:
-            if w.range != v:
-                continue
-            if _is_full_witness(grids[w], big, candidates, sk.k):
+            if w.range == v and not any(invariant(grids[w], p) for p in candidates):
                 witnesses[v] = w
                 break
     if len(witnesses) == len(sk.vertices):
@@ -382,14 +363,3 @@ def aperiodicity_probe(sk: Skeleton, depth: int) -> ProbeResult:
         "no global period, but vertices "
         f"{sorted(set(sk.vertices) - set(witnesses))} lack a witness at this depth"
     )
-
-
-def _is_full_witness(
-    grid: dict[tuple[Degree, int], str], dmax: Degree, candidates, k: int
-) -> bool:
-    origin = dv.zero(k)
-    for p in candidates:
-        compared, equal = _invariance(grid, dmax, p, origin, k)
-        if equal or not compared:
-            return False
-    return True

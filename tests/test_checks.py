@@ -24,13 +24,23 @@ from kgraphs.core import (
     subblock,
     validate_skeleton,
 )
-from kgraphs.dynamics import DistanceResult, MetricParams, all_windows, bracket, distance, shift
+from kgraphs.dynamics import (
+    DistanceResult,
+    MetricParams,
+    Window,
+    all_windows,
+    bracket,
+    distance,
+    shift,
+)
 from kgraphs.errors import NotBracketable, NotConverged
 from kgraphs.measure import conditional_measure
 from kgraphs.relations import stable_equiv
+from kgraphs.spectral import vertex_matrix
 
 from conftest import GOLDEN
 from randgraphs import random_flip_2graph
+from test_counting import _non_commuting
 
 CFG = checks.AnalysisConfig()
 
@@ -55,6 +65,53 @@ def test_bracket_axioms_catch_a_bracket_wrong_only_on_shifted_windows(g3, monkey
 def test_bracket_axioms_catch_a_shift_that_moves_the_wrong_way(g3, monkeypatch):
     monkeypatch.setattr(checks, "shift", lambda w, m: shift(w, tuple(-c for c in m)))
     assert checks.check_bracket_axioms(checks.Suite(g3, CFG)).status == "fail"
+
+
+def test_bracket_axioms_catch_a_bracket_with_the_right_key_on_another_grid(g3, monkeypatch):
+    # the key is right, so only a read of the grid (the body) sees it
+    def wrong(x, y):
+        z = bracket(x, y)
+        return Window._of(z.skeleton, z.N, z.key, z.origin, y._cells())
+
+    monkeypatch.setattr(checks, "bracket", wrong)
+    result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
+    assert result.status == "fail"
+    assert "commute" not in result.detail
+
+
+def test_bracket_axioms_catch_a_bracket_wrong_on_one_class(g3, monkeypatch):
+    # on g3 each (past, future) class holds one radius-N window
+    windows = all_windows(g3, CFG.radius)
+    target = windows[len(windows) // 2]
+
+    def wrong(x, y):
+        z = bracket(x, y)
+        return windows[0] if z == target else z
+
+    monkeypatch.setattr(checks, "bracket", wrong)
+    result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
+    assert result.status == "fail"
+    assert "glued" in result.detail
+
+
+def test_semigroup_law_catches_binary_powers_wrong_only_past_3e(g3, monkeypatch):
+    # a pairwise sweep over [0, 3e] never forms these degrees
+    def wrong(sk, p):
+        vm = vertex_matrix(sk, p)
+        if max(p) < 4:
+            return vm
+        return replace(vm, entries=tuple(tuple(x + 1 for x in row) for row in vm.entries))
+
+    monkeypatch.setattr(checks, "vertex_matrix", wrong)
+    assert checks.check_semigroup_law(checks.Suite(g3, CFG)).status == "fail"
+
+
+def test_generator_commutation_catches_generators_that_do_not_commute():
+    # |L^(e1+e0)| = M_0 M_1 = 0 but |L^e1||L^e0| = M_1 M_0 != 0: the pairwise
+    # law fails, and semigroup-law leaves it to this check
+    odd = _non_commuting()
+    result = checks.check_generator_commutation(checks.Suite(odd, CFG))
+    assert result.status == "fail"
 
 
 def test_expansiveness_catches_a_shift_that_drops_a_coordinate(g3, monkeypatch):

@@ -108,10 +108,16 @@ def test_relation_preconditions(g1):
     with pytest.raises(RadiusMismatch):
         stable_equiv(RelationQuery(x, y, (0,)))
     z = w1(g1, "abab")
-    with pytest.raises(OutOfBox):
-        stable_equiv(RelationQuery(x, z, (3,)))
+    # past either end of the box, the window's own extraction raises
+    for end in ((-3,), (3,)):
+        with pytest.raises(OutOfBox):
+            stable_equiv(RelationQuery(x, z, end))
+        with pytest.raises(OutOfBox):
+            unstable_equiv(RelationQuery(x, z, end))
     with pytest.raises(OutOfBox):
         asymptotic_equiv(x, z, (-1,))
+    with pytest.raises(OutOfBox):
+        asymptotic_equiv(x, z, (3,))
 
 
 # ---------------------------------------------------------------------------
