@@ -864,28 +864,22 @@ def _class_distances(
     }
 
 
-def _block_reader(w: Window, m: Degree, n: Degree):
-    """cells -> the raw edge-id word of x(m, n) on a grid laid out as w's,
-    or the vertex x(m) for a point box, where the word is empty."""
-    shape = w._cells()[0]
-    lo, hi = w._box(m, n)
-    if lo == hi:
-        sk = w.skeleton
-        return lambda cells: shape.vertex(sk, cells, lo)
-    return shape.reader(lo, hi)
-
-
 def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
-    """Intern x(m, n) per window by its raw read (``_block_reader``): equal
-    tokens iff equal blocks.  One read plan per (grid shape, corner, N)."""
-    plans: dict = {}
+    """Intern x(m, n) per window by its raw read, as ``Window._read`` reads
+    it: equal tokens iff equal blocks.  The box's plan is looked up once per
+    grid layout (shape, corner, N)."""
+    reads: dict = {}
     intern: dict = {}
     out = []
     for w in windows:
         shape, cells, corner = w._cells()
-        read = plans.get((shape, corner, w.N))
+        read = reads.get((shape, corner, w.N))
         if read is None:
-            read = plans[(shape, corner, w.N)] = _block_reader(w, m, n)
+            plan = shape.box(corner, w.N, m, n)
+            read = plan.read
+            if plan.point is not None:
+                read = functools.partial(plan.vertex, w.skeleton)
+            reads[(shape, corner, w.N)] = read
         out.append(intern.setdefault(read(cells), len(intern)))
     return np.array(out, dtype=np.int64)
 

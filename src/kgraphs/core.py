@@ -34,6 +34,7 @@ from .errors import (
     GraphMismatch,
     MalformedSkeleton,
     NotComposable,
+    OutOfBox,
     RankMismatch,
     ValidationFailure,
 )
@@ -654,14 +655,60 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
 # -- unit-edge grids ----------------------------------------------------------
 
 
+class ReadPlan:
+    """Where the normal-form words along a chain of points a -> ... -> b of
+    the box lie on a grid of one shape, resolved once.
+
+    ``slots`` lists the grid slots of the chain's words in order; ``read``
+    takes a grid to those edge ids in one call.  A plan of one leg [a, b]
+    also serves x(a, b) itself: ``degree`` is b - a, and for a point box
+    a = b, whose word is empty, ``point`` names the unit edge that fixes
+    the vertex x(a): its slot, and whether x(a) is that edge's range (else
+    its source).  It is None for every other box, and on a shape with no
+    unit edges.
+    """
+
+    __slots__ = ("slots", "read", "degree", "point")
+
+    def __init__(
+        self, slots: tuple[int, ...], degree: Degree, point: tuple[int, bool] | None
+    ) -> None:
+        self.slots = slots
+        if len(slots) > 1:
+            self.read: Callable[[Sequence[str]], tuple[str, ...]] = itemgetter(*slots)
+        else:  # itemgetter of one slot returns the item, not a 1-tuple
+            self.read = lambda cells: tuple(cells[slot] for slot in slots)  # noqa: E731
+        self.degree = degree
+        self.point = point
+
+    def vertex(self, sk: Skeleton, cells: Sequence[str]) -> Vertex:
+        """x(a) for a point box, read off a grid of this plan's shape."""
+        if self.point is None:
+            raise DegreeMismatch("the box [0, 0] has no unit edges")
+        slot, is_range = self.point
+        edge = sk.edge_map[cells[slot]]
+        return edge.range if is_range else edge.source
+
+    def morphism(self, sk: Skeleton, cells: Sequence[str]) -> Morphism:
+        """x(a, b), read off a grid of this plan's shape."""
+        word = self.read(cells)
+        if word:
+            rng, src = sk.edge_map[word[0]].range, sk.edge_map[word[-1]].source
+        else:
+            rng = src = self.vertex(sk, cells)
+        return _morphism(sk, self.degree, word, rng, src)
+
+
 class GridShape:
     """The unit edges x(c, c + e_i) of the box [0, d], laid out flat.
 
     A path of degree d is a degree-preserving functor from the box to the
     k-graph, so it is determined by the edge it puts on each unit edge; its
     grid lists those edge ids in the order of ``units``.  One shape serves
-    every grid of its box and builds each plan once: the staircase read
-    plans (where the normal-form word of x(a, b) lies in the grid) and the
+    every grid of its box and builds each plan once: the read plans (where
+    the normal-form word of x(a, b) lies in the grid), found by grid
+    coordinates or by the geometry of a window on the grid, the view plans
+    (where a window cut from the grid sits, and its key), and the
     square-fill plans (how the grid follows from one path through the box).
     """
 
@@ -672,38 +719,77 @@ class GridShape:
             (c, i) for c in dv.box(dv.zero(k), d) for i in range(k) if c[i] < d[i]
         )
         self.index = {u: slot for slot, u in enumerate(self.units)}
-        self._reads: dict[tuple[Degree, Degree], tuple[tuple[tuple[int, ...], ...], Callable]] = {}
+        #: chains of grid points (a, b) or (a, mid, b), and window boxes
+        #: (corner, N, m, n), each to its plan
+        self._reads: dict[tuple, ReadPlan] = {}
+        #: (corner, N, center, n) -> the corner of the view, and its key plan
+        self._views: dict[tuple[Degree, int, Degree, int], tuple[Degree, ReadPlan]] = {}
         self._fills: dict[Degree, tuple[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
 
-    def _read_plan(self, a: Degree, b: Degree) -> tuple[tuple[tuple[int, ...], ...], Callable]:
-        """The staircase of x(a, b) and one flat reader of its slots."""
-        plan = self._reads.get((a, b))
+    def plan(self, *chain: Degree) -> ReadPlan:
+        """The plan of the normal-form words along ``chain`` (grid points,
+        each leg a staircase: from its start along e_0 first, then e_1, and
+        so on)."""
+        plan = self._reads.get(chain)
         if plan is None:
-            at = list(a)
-            blocks = []
-            for c in range(len(a)):
-                block = []
-                for t in range(a[c], b[c]):
-                    at[c] = t
-                    block.append(self.index[(tuple(at), c)])
-                at[c] = b[c]
-                blocks.append(tuple(block))
-            slots = tuple(slot for block in blocks for slot in block)
-            if len(slots) > 1:
-                read = itemgetter(*slots)
-            else:  # itemgetter of one slot returns the item, not a 1-tuple
-                read = lambda cells: tuple(cells[slot] for slot in slots)  # noqa: E731
-            plan = self._reads[(a, b)] = (tuple(blocks), read)
+            slots = []
+            for a, b in zip(chain, chain[1:]):
+                at = list(a)
+                for c in range(len(a)):
+                    for t in range(a[c], b[c]):
+                        at[c] = t
+                        slots.append(self.index[(tuple(at), c)])
+                    at[c] = b[c]
+            a, b = chain[0], chain[-1]
+            point = self._point(a) if a == b else None
+            plan = self._reads[chain] = ReadPlan(tuple(slots), dv.sub(b, a), point)
         return plan
 
-    def staircase(self, a: Degree, b: Degree) -> tuple[tuple[int, ...], ...]:
-        """Per color, the slots of that color's block of the normal-form word
-        of x(a, b): the path from a along e_0 first, then e_1, and so on."""
-        return self._read_plan(a, b)[0]
+    def _point(self, p: Degree) -> tuple[int, bool] | None:
+        # x(p) is the range of a unit edge leaving p or the source of one
+        # entering it; the box [0, 0] has neither
+        for i, (pi, di) in enumerate(zip(p, self.d)):
+            if pi < di:
+                return self.index[(p, i)], True
+            if pi > 0:
+                return self.index[(dv.sub(p, dv.unit(i, len(p))), i)], False
+        return None
 
-    def reader(self, a: Degree, b: Degree) -> Callable[[Sequence[str]], tuple[str, ...]]:
-        """cells -> the normal-form word of x(a, b) on a grid of this shape."""
-        return self._read_plan(a, b)[1]
+    def box(self, corner: Degree, N: int, m: Degree, n: Degree) -> ReadPlan:
+        """The plan of x(m, n) on the radius-N window whose corner -Ne sits
+        at ``corner`` of this grid.  A box that leaves the window raises
+        ``OutOfBox`` (a degree of the wrong rank ``ValueError``) and is
+        never stored, so it raises on every call."""
+        key = (corner, N, m, n)
+        try:
+            plan = self._reads.get(key)
+        except TypeError:  # a degree given as a list: look it up as a tuple
+            m, n = tuple(m), tuple(n)
+            key = (corner, N, m, n)
+            plan = self._reads.get(key)
+        if plan is None:
+            lo, hi = [], []
+            for c, a, b in zip(corner, m, n, strict=True):
+                if not -N <= a <= b <= N:
+                    raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {N}")
+                lo.append(c + N + a)
+                hi.append(c + N + b)
+            plan = self._reads[key] = self.plan(tuple(lo), tuple(hi))
+        return plan
+
+    def view(self, corner: Degree, N: int, center: Degree, n: int) -> tuple[Degree, ReadPlan]:
+        """The corner of the radius-n window centred at ``center`` of the
+        radius-N window at ``corner`` of this grid, and the plan of its key:
+        the words of x(-ne, 0) and x(0, ne), read in one call.  The caller
+        has checked that the view fits."""
+        key = (corner, N, center, n)
+        view = self._views.get(key)
+        if view is None:
+            lo = tuple([c + m + N - n for c, m in zip(corner, center)])
+            mid = tuple([c + n for c in lo])
+            hi = tuple([c + 2 * n for c in lo])
+            view = self._views[key] = (lo, self.plan(lo, mid, hi))
+        return view
 
     def _fill_plan(self, mid: Degree) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
         """The slots of the path x(0, mid) x(mid, d), and the square steps
@@ -718,11 +804,7 @@ class GridShape:
         if plan is not None:
             return plan
         d, units, index = self.d, self.units, self.index
-        path = tuple(
-            slot
-            for block in self.staircase(dv.zero(len(d)), mid) + self.staircase(mid, d)
-            for slot in block
-        )
+        path = self.plan(dv.zero(len(d)), mid, d).slots
         known = set(path)
         todo = list(path)
         steps: list[tuple[int, int, int, int]] = []
@@ -770,30 +852,6 @@ class GridShape:
         except KeyError:
             _swap(sk, cells[a], cells[b])  # raises, naming the missing square
         return cells
-
-    def word(self, cells: Sequence[str], a: Degree, b: Degree) -> tuple[str, ...]:
-        """The normal-form word of x(a, b), read off a grid of this shape."""
-        return self._read_plan(a, b)[1](cells)
-
-    def vertex(self, sk: Skeleton, cells: Sequence[str], p: Degree) -> Vertex:
-        """x(p): the range of a unit edge leaving p or the source of one
-        entering it."""
-        for i, (pi, di) in enumerate(zip(p, self.d)):
-            if pi < di:
-                return sk.edge_map[cells[self.index[(p, i)]]].range
-            if pi > 0:
-                below = dv.sub(p, dv.unit(i, len(p)))
-                return sk.edge_map[cells[self.index[(below, i)]]].source
-        raise DegreeMismatch("the box [0, 0] has no unit edges")
-
-    def morphism(self, sk: Skeleton, cells: Sequence[str], a: Degree, b: Degree) -> Morphism:
-        """x(a, b), read off a grid of this shape."""
-        word = self.word(cells, a, b)
-        if word:
-            rng, src = sk.edge_map[word[0]].range, sk.edge_map[word[-1]].source
-        else:
-            rng = src = self.vertex(sk, cells, a)
-        return _morphism(sk, dv.sub(b, a), word, rng, src)
 
 
 def grid_shape(sk: Skeleton, d: Degree) -> GridShape:

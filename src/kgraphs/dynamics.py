@@ -7,10 +7,16 @@ x(c, c + e_i) over the box (``core.GridShape``), and compared and hashed
 by its path through the origin: the past word x(-Ne, 0) followed by the
 future word x(0, Ne).  Extraction reads a staircase off the grid, shift
 and restriction are offset views of the same grid, and the bracket glues
-the past of one key to the future of another.  Every operation that would
-read outside the box fails loudly rather than pad: a window never
-fabricates path data.  Shifting therefore shrinks the radius by the max
-coordinate of the shift.
+the past of one key to the future of another.
+
+Reads are compiled: the grid's shape resolves each box once, by the
+window's corner on the grid, its radius and the box (``GridShape.box``),
+into a ``ReadPlan`` whose one ``itemgetter`` reads the box's word; a view
+finds its corner and the reader of its whole key the same way
+(``GridShape.view``).  Every operation that would read outside the box
+fails loudly rather than pad: a window never fabricates path data, and a
+box that leaves the window is never stored as a plan.  Shifting therefore
+shrinks the radius by the max coordinate of the shift.
 """
 
 from __future__ import annotations
@@ -84,10 +90,9 @@ class Window:
         """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne."""
         sk = body.skeleton
         shape, cells = grid_shape(sk, body.degree), unit_grid(body)
-        ne = dv.scaled(N, sk.k)
         self.skeleton = sk
         self.N = N
-        self.key = shape.word(cells, dv.zero(sk.k), ne) + shape.word(cells, ne, body.degree)
+        self.key = shape.plan(dv.zero(sk.k), dv.scaled(N, sk.k), body.degree).read(cells)
         #: x(0), the vertex at the center of the box: the range of the
         #: first edge of the future word
         self.origin: Vertex = sk.edge_map[self.key[sk.k * N]].range
@@ -127,44 +132,32 @@ class Window:
     def _view(self, center: Degree, n: int) -> "Window":
         """The radius-n window centred at ``center`` of this one, on its grid."""
         shape, cells, corner = self._cells()
-        sk, off = self.skeleton, self.N - n
-        lo = tuple([c + m + off for c, m in zip(corner, center)])
-        mid = tuple([c + n for c in lo])
-        hi = tuple([c + 2 * n for c in lo])
-        key = shape.word(cells, lo, mid) + shape.word(cells, mid, hi)
+        lo, plan = shape.view(corner, self.N, center, n)
+        key, sk = plan.read(cells), self.skeleton
         return Window._of(sk, n, key, sk.edge_map[key[sk.k * n]].range, (shape, cells, lo))
 
-    def _box(self, m: Degree, n: Degree) -> tuple[Degree, Degree]:
-        """Grid coordinates of the box [m, n], checked against the window."""
-        N = self.N
+    def _read(self, m: Degree, n: Degree) -> tuple[str, ...] | Vertex:
+        """The raw read of x(m, n): its word, or the vertex x(m) for a point
+        box.  Windows over one skeleton at one radius read equal raw values
+        exactly when their blocks x(m, n) are equal."""
         shape, cells, corner = self._cells()
-        lo, hi = [], []
-        for c, a, b in zip(corner, m, n, strict=True):
-            if not -N <= a <= b <= N:
-                raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {N}")
-            lo.append(c + N + a)
-            hi.append(c + N + b)
-        return tuple(lo), tuple(hi)
+        plan = shape.box(corner, self.N, m, n)
+        return plan.read(cells) if plan.point is None else plan.vertex(self.skeleton, cells)
 
     @cached_property
     def _nested(self) -> tuple[tuple[str, ...], ...]:
         """The normal-form words of x(-je, je), j = 1..N, as raw edge ids."""
         shape, cells, corner = self._cells()
-        k = self.skeleton.k
+        N, k = self.N, self.skeleton.k
         return tuple(
-            shape.word(
-                cells,
-                dv.add(corner, dv.scaled(self.N - j, k)),
-                dv.add(corner, dv.scaled(self.N + j, k)),
-            )
-            for j in range(1, self.N + 1)
+            shape.box(corner, N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
+            for j in range(1, N + 1)
         )
 
     def extract(self, m: Degree, n: Degree) -> Morphism:
         """x(m, n) for -Ne <= m <= n <= Ne."""
-        lo, hi = self._box(m, n)
-        shape, cells, _ = self._cells()
-        return shape.morphism(self.skeleton, cells, lo, hi)
+        shape, cells, corner = self._cells()
+        return shape.box(corner, self.N, m, n).morphism(self.skeleton, cells)
 
     @property
     def past(self) -> Morphism:

@@ -6,8 +6,14 @@ nothing beyond it.  The unstable relation is the stable one seen through
 the opposite-graph involution: (x, y) agree on every box ending at m
 exactly when (x^op, y^op) agree on every box starting at -m.  The suite
 checks ``unstable_equiv`` against ``stable_equiv`` on ``window_op``
-windows.  An offset outside the box raises ``OutOfBox`` from the window's
-own extraction.
+windows.
+
+The predicates compare raw block reads (``Window._read``: the word of the
+block, or the vertex for a point box) through the windows' compiled read
+plans, and build no ``Morphism``.  Once ``_check_pair`` has matched the
+skeleton and the radius, the two reads are of one box at one degree, so
+they are equal exactly when the blocks are.  An offset outside the box
+raises ``OutOfBox`` from the window's read plan.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def stable_equiv(q: RelationQuery) -> bool:
     k = q.x.skeleton.k
     m = dv.as_degree(q.m, k)
     ne = dv.scaled(q.x.N, k)
-    return q.x.extract(m, ne) == q.y.extract(m, ne)
+    return q.x._read(m, ne) == q.y._read(m, ne)
 
 
 def unstable_equiv(q: RelationQuery) -> bool:
@@ -59,7 +65,8 @@ def unstable_equiv(q: RelationQuery) -> bool:
     k = q.x.skeleton.k
     n0 = dv.as_degree(q.m, k)
     ne = dv.scaled(q.x.N, k)
-    return q.x.extract(dv.neg(ne), n0) == q.y.extract(dv.neg(ne), n0)
+    lo = dv.neg(ne)
+    return q.x._read(lo, n0) == q.y._read(lo, n0)
 
 
 def asymptotic_equiv(x: Window, y: Window, m: Degree) -> bool:
@@ -71,10 +78,8 @@ def asymptotic_equiv(x: Window, y: Window, m: Degree) -> bool:
     if not dv.is_nonneg(m):
         raise OutOfBox(f"asymptotic offset must be in N^k, got {m}")
     ne = dv.scaled(x.N, k)
-    return (
-        x.extract(m, ne) == y.extract(m, ne)
-        and x.extract(dv.neg(ne), dv.neg(m)) == y.extract(dv.neg(ne), dv.neg(m))
-    )
+    neg_ne, neg_m = dv.neg(ne), dv.neg(m)
+    return x._read(m, ne) == y._read(m, ne) and x._read(neg_ne, neg_m) == y._read(neg_ne, neg_m)
 
 
 def restriction_map(x: Window) -> Morphism:
@@ -106,7 +111,7 @@ def _stably_related_somewhere(x: Window, y: Window) -> bool:
     # agreement at the top corner
     k = x.skeleton.k
     ne = dv.scaled(x.N, k)
-    return x.extract(ne, ne) == y.extract(ne, ne)
+    return x._read(ne, ne) == y._read(ne, ne)
 
 
 def semidirect_compose(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:

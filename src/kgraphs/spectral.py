@@ -184,10 +184,12 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 200_000) -> tupl
         w = a @ v
         lam = float(w @ v) / float(v @ v)
         resid = float(np.abs(w - lam * v).max()) / float(np.abs(v).max())
-        if resid <= tol:
+        # relative to the eigenvalue's scale: a large positive combination
+        # has an absolute residual no finer than its float resolution
+        if resid <= tol * max(1.0, abs(lam)):
             return v / np.abs(v).max(), resid
         v = w / np.abs(w).max()
-    raise NotConverged(f"power iteration did not reach residual {tol}")
+    raise NotConverged(f"power iteration did not reach residual {tol} relative to the eigenvalue")
 
 
 def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:

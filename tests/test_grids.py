@@ -7,6 +7,7 @@ The graphs are g1-g4 and two with non-flip square tables: a random one-vertex
 2-graph and a rank-3 product of one with a 1-graph.
 """
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from kgraphs.core import (
     subblock,
 )
 from kgraphs.dynamics import all_windows, bracket, distance, make_window, restrict, shift
+from kgraphs.errors import OutOfBox
 
 GRAPHS = ["g1", "g2", "g3", "g4", "flip", "product3"]
 
@@ -91,6 +93,42 @@ def test_views_match_fresh_windows(sk, n):
             assert view.body == fresh.body
 
 
+def test_every_box_of_every_view_matches_subblock(sk):
+    # views sit at grid corners other than 0, and a bracket's grid is filled
+    # from its key; every box of each is read off its own plan and compared
+    # with subblock on the body the view stands for
+    k = sk.k
+    radii = (2,) if k == 3 else (2, 3)  # a rank-3 view of radius 2 has 3375 boxes
+    for n, body in [(n, b) for n in radii for b in _bodies(sk, n, 2)]:
+        ne = dv.scaled(n, k)
+        w = make_window(sk, body, n)
+        views = []
+        for parent in (w, bracket(w, w)):
+            for m in dv.box(dv.scaled(1 - n, k), dv.scaled(n - 1, k)):
+                view = shift(parent, m)
+                centre = dv.add(ne, m)
+                views.append((view, centre))
+                if view.N > 1:  # views of a view, by restriction and by shift
+                    views.append((restrict(view, view.N - 1), centre))
+                    one = dv.unit(0, k)
+                    views.append((shift(view, one), dv.add(centre, one)))
+            views.append((restrict(parent, 1), ne))
+        for view, centre in views:
+            r = view.N
+            re = dv.scaled(r, k)
+            fresh = subblock(body, dv.sub(centre, re), dv.add(centre, re))
+            for lo in dv.box(dv.zero(k), dv.scaled(2 * r, k)):
+                for hi in dv.box(lo, dv.scaled(2 * r, k)):
+                    got = view.extract(dv.sub(lo, re), dv.sub(hi, re))
+                    assert got == subblock(fresh, lo, hi), (body, centre, r, lo, hi)
+            # boxes outside the view raise on every call, even where the
+            # grid it was cut from extends further
+            for m, mm in ((dv.scaled(-r - 1, k), dv.zero(k)), (dv.zero(k), dv.scaled(r + 1, k))):
+                for _ in range(2):
+                    with pytest.raises(OutOfBox):
+                        view.extract(m, mm)
+
+
 def test_bracket_is_composition_at_radius_one(sk):
     e, two = dv.ones(sk.k), dv.scaled(2, sk.k)
     bodies = _bodies(sk, 1, 64)
@@ -123,3 +161,31 @@ def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons, random_
         for held in (sk, opposite_graph(sk)):
             assert set(held._memo) <= {"powers", "grid", "opposite"}
             assert len(held._memo.get("powers", ())) <= 3 * held.k
+            # each shape's plans are bounded by its box geometry, however
+            # many windows and pairs the suite read through them
+            for d, shape in held._memo["grid"].items():
+                reads, views = _plan_bounds(d)
+                assert len(shape._reads) <= reads and len(shape._views) <= views, d
+                assert len(shape._fills) <= math.prod(di + 1 for di in d)
+
+
+def _plan_bounds(d):
+    """The most read plans and view plans a grid shape of the box [0, d] can
+    hold: read plans by chain (a, b) with a <= b, by window key chain and by
+    fill path (0, mid, d), and by window box (corner, N, m, n); view plans by
+    (corner, N, center, n)."""
+    k = len(d)
+    # window geometries: radius N with the count of corners c, c + 2Ne <= d
+    windows = [
+        (N, math.prod(di - 2 * N + 1 for di in d)) for N in range(1, min(d) // 2 + 1)
+    ]
+    reads = (
+        math.prod(math.comb(di + 2, 2) for di in d)
+        + sum(corners for _, corners in windows)
+        + math.prod(di + 1 for di in d)
+        + sum(corners * math.comb(2 * N + 2, 2) ** k for N, corners in windows)
+    )
+    views = sum(
+        corners * sum((2 * (N - n) + 1) ** k for n in range(1, N + 1)) for N, corners in windows
+    )
+    return reads, views

@@ -1,9 +1,11 @@
 """Stable/unstable/asymptotic predicates and the semidirect product."""
 
+import random
+
 import pytest
 
 from kgraphs import degrees as dv
-from kgraphs.core import enumerate_morphisms, make_morphism
+from kgraphs.core import enumerate_morphisms, make_morphism, sample_morphism, subblock
 from kgraphs.dynamics import all_windows, make_window, restrict, shift
 from kgraphs.errors import (
     NotComposableInGroupoid,
@@ -13,6 +15,7 @@ from kgraphs.errors import (
 from kgraphs.relations import (
     GroupoidElement,
     RelationQuery,
+    _stably_related_somewhere,
     asymptotic_equiv,
     groupoid_unit,
     restriction_map,
@@ -218,3 +221,43 @@ def test_semidirect_associativity_on_g1(g1):
         r = min(lhs.pair[0].N, rhs.pair[0].N)
         assert restrict(lhs.pair[0], r) == restrict(rhs.pair[0], r)
         assert restrict(lhs.pair[1], r) == restrict(rhs.pair[1], r)
+
+
+@pytest.mark.parametrize("name", ["g2", "g3"])
+def test_predicates_read_the_right_box_across_grids(name, request):
+    # x is a radius-2 window at corner 0 of its own grid; y is a radius-2
+    # view at one of 3^k corners of a radius-3 grid.  Every predicate must
+    # agree with extract(..) == extract(..), and both with subblock on the
+    # bodies the windows stand for, at every offset, point boxes included
+    sk = request.getfixturevalue(name)
+    k = sk.k
+    ne = dv.scaled(2, k)
+    xs = all_windows(sk, 2)
+    rng = random.Random(5)
+    pairs = []
+    for big in [sample_morphism(sk, dv.scaled(6, k), rng) for _ in range(3)]:
+        w = make_window(sk, big, 3)
+        for c in dv.box(dv.scaled(-1, k), dv.ones(k)):
+            y = restrict(shift(w, c), 2)
+            body = subblock(big, dv.add(dv.ones(k), c), dv.add(dv.scaled(5, k), c))
+            for x in [make_window(sk, body, 2)] + rng.sample(xs, 3):
+                pairs.append((x, y, body))
+
+    def agree(x, y, body, m, n):
+        lo, hi = dv.add(m, ne), dv.add(n, ne)
+        want = subblock(x.body, lo, hi) == subblock(body, lo, hi)
+        assert (x.extract(m, n) == y.extract(m, n)) == want, (x, y, m, n)
+        return want
+
+    answers = set()
+    for x, y, body in pairs:
+        for m in dv.box(dv.neg(ne), ne):
+            tail = agree(x, y, body, m, ne)
+            assert stable_equiv(RelationQuery(x, y, m)) == tail
+            assert unstable_equiv(RelationQuery(x, y, m)) == agree(x, y, body, dv.neg(ne), m)
+            if dv.is_nonneg(m):
+                both = tail and agree(x, y, body, dv.neg(ne), dv.neg(m))
+                assert asymptotic_equiv(x, y, m) == both
+            answers.add(tail)
+        assert _stably_related_somewhere(x, y) == agree(x, y, body, ne, ne)
+    assert answers == {True, False}

@@ -1,7 +1,9 @@
 """Vertex matrices, connectivity, Perron data, AF blocks, aperiodicity."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from kgraphs import degrees as dv
@@ -16,6 +18,8 @@ from kgraphs.spectral import (
     perron_data,
     vertex_matrix,
 )
+
+from randgraphs import random_1graph
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -195,6 +199,18 @@ def test_perron_eigen_equations(test_graphs):
                 rhs = sum(m.entry(u, v) * pd.b[v] for v in sk.vertices)
                 assert abs(rhs - tp * pd.b[u]) <= 1e-10 * max(1.0, tp)
         assert all(t > 0 for t in pd.t)
+
+
+def test_perron_converges_where_the_positive_combination_is_large():
+    # r40's positive combination has spectral radius ~2.4e4, where an
+    # absolute residual of 1e-12 lies below float64 resolution; the
+    # residual is relative to the eigenvalue, so the iteration stops
+    sk = random_1graph(random.Random(40), 40, 40)
+    pd = perron_data(sk)
+    m = vertex_matrix(sk, (1,))
+    rho = max(abs(np.linalg.eigvals([[m.entry(u, v) for v in sk.vertices] for u in sk.vertices])))
+    assert abs(pd.t[0] - rho) <= 1e-9 * rho
+    assert abs(pd.t[0] - 2.2066424095) <= 1e-9
 
 
 def test_perron_refuses_reducible(split_graph):
