@@ -4,11 +4,13 @@ Each check exercises one of the documented invariants on a given skeleton
 and reports pass/fail with a counterexample payload.  `run_suite` builds
 one `Suite` per run and passes it to every check; the Suite computes what
 several checks read (the connectivity class, the Perron data, the window
-lists) once per run and keeps nothing on the skeleton.  Checks that need
-Perron data skip non-irreducible graphs; the mixing check skips graphs
-that are not primitive within the search bound.  Window sweeps beyond
-``WINDOW_CAP`` fall back to seeded exact-uniform sampling, and the seed
-is part of the report, so runs are reproducible.
+lists and their shifts) once per run and keeps nothing on the skeleton.
+The relation checks compare the partitions that the stable, unstable and
+asymptotic relations induce on the swept windows, as lists of class
+tokens.  Checks that need Perron data skip non-irreducible graphs; the
+mixing check skips graphs that are not primitive within the search bound.
+Window sweeps beyond ``WINDOW_CAP`` fall back to seeded exact-uniform
+sampling, and the seed is part of the report, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -127,10 +129,10 @@ class Suite:
 
     It draws the seeded rng of each check, and it holds what several checks
     read: the connectivity class, the Perron data and, per radius with at
-    most ``WINDOW_CAP`` windows, the list of all windows.  Each is computed
-    on first use; a KGraphError raised computing it is kept, and every
-    check that reads it reports that error.  Nothing is kept on the
-    skeleton.
+    most ``WINDOW_CAP`` windows, the list of all windows and its shifts
+    sigma^m.  Each is computed on first use; a KGraphError raised computing
+    it is kept, and every check that reads it reports that error.  Nothing
+    is kept on the skeleton.
     """
 
     def __init__(self, sk: Skeleton, cfg: AnalysisConfig):
@@ -184,6 +186,14 @@ class Suite:
         # dedupe so pair sweeps see distinct windows
         wanted = max(12, SAMPLE_SIZE >> (self.sk.k - 1))
         return tuple(dict.fromkeys(sample_window(self.sk, n, rng) for _ in range(wanted)))
+
+    def shifted(self, n: int, name: str, m: Degree) -> tuple[Window, ...]:
+        """sigma^m of each radius-n window that check `name` sweeps: built
+        once per run for the exhaustive sweep, per call for a sample."""
+        windows = self.windows(n, name)
+        if self.sweep(n)[1] is None:
+            return tuple(shift(w, m) for w in windows)
+        return self._once(("shifted", n, m), lambda: tuple(shift(w, m) for w in windows))
 
 
 def _check(name: str):
@@ -671,7 +681,7 @@ def check_expansiveness(suite: Suite, name: str) -> CheckResult:
     for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k)):
         if not open_.any():
             break
-        tokens, rho = _class_distances([shift(w, m) for w in windows], open_, params)
+        tokens, rho = _class_distances(suite.shifted(n, name, m), open_, params)
         apart = np.zeros((int(tokens.max()) + 1,) * 2, dtype=bool)
         for (a, b), value in rho.items():
             apart[a, b] = apart[b, a] = value >= params.r
@@ -690,11 +700,13 @@ def check_contraction(suite: Suite, name: str) -> CheckResult:
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = suite.windows(n, name)
-    by_future: dict[Morphism, list[int]] = {}
-    by_past: dict[Morphism, list[int]] = {}
+    half = sk.k * n
+    # a half is fixed by its word, the key slice
+    by_future: dict[tuple[str, ...], list[int]] = {}
+    by_past: dict[tuple[str, ...], list[int]] = {}
     for i, w in enumerate(windows):
-        by_future.setdefault(w.future, []).append(i)
-        by_past.setdefault(w.past, []).append(i)
+        by_future.setdefault(w.key[half:], []).append(i)
+        by_past.setdefault(w.key[:half], []).append(i)
     for grouping, sign in ((by_future, 1), (by_past, -1)):
         fiber = np.empty(len(windows), dtype=np.int64)
         for t, group in enumerate(grouping.values()):
@@ -704,9 +716,7 @@ def check_contraction(suite: Suite, name: str) -> CheckResult:
         # the rho of every pair of distinct shifted windows a fiber pair
         # reads (equal shifted windows are at distance 0)
         moved = {
-            j: _class_distances(
-                [shift(w, dv.scaled(sign * j, sk.k)) for w in windows], same, params
-            )
+            j: _class_distances(suite.shifted(n, name, dv.scaled(sign * j, sk.k)), same, params)
             for j in range(1, n)
         }
         for group in grouping.values():
@@ -729,62 +739,65 @@ def check_bracket_axioms(suite: Suite, name: str) -> CheckResult:
     sk, cfg = suite.sk, suite.cfg
     n = cfg.radius
     k = sk.k
+    half = k * n
     windows = suite.windows(n, name)
-    by_origin: dict[str, list[Window]] = {}
-    for w in windows:
-        by_origin.setdefault(w.origin, []).append(w)
+    by_origin: dict[Vertex, list[int]] = {}
+    for i, w in enumerate(windows):
+        by_origin.setdefault(w.origin, []).append(i)
     # [x, y] reads only (x.past, y.future) of windows through one origin, so
     # one bracket per (past, future) class, against the window glued by
     # compose, carries the content of every pair: both halves and both
     # associativity identities follow, and [x, x] = x with
     # bracket-uniqueness.  The body is compared too: it reads the grid the
-    # bracket fills from its key.
+    # bracket fills from its key.  A half is fixed by its word, the key slice.
     for group in by_origin.values():
-        pasts: dict[Morphism, Window] = {}
-        futures: dict[Morphism, Window] = {}
-        for w in group:
-            pasts.setdefault(w.past, w)
-            futures.setdefault(w.future, w)
-        for past, x in pasts.items():
-            for fut, y in futures.items():
-                z, glued = bracket(x, y), Window(n, compose(past, fut))
+        pasts: dict[tuple[str, ...], Window] = {}
+        futures: dict[tuple[str, ...], Window] = {}
+        for i in group:
+            pasts.setdefault(windows[i].key[:half], windows[i])
+            futures.setdefault(windows[i].key[half:], windows[i])
+        for x in pasts.values():
+            for y in futures.values():
+                z, glued = bracket(x, y), Window(n, compose(x.past, y.future))
                 if z != glued or z.body != glued.body:
                     return CheckResult(name, "fail", f"[{x!r},{y!r}] is not the glued window")
     # shift commutation, gated on agreement over the translation strip
     # (the two sides read different paths inside the strip otherwise).
     # [sx, sy] reads only (sx.past, sy.future) and sigma^m [x, y] only
-    # (x.past, y.future), so each side is evaluated once per class and
-    # every gated pair compares the interned results of its two classes.
-    # [x, y] itself is glued once per class, for every m.
+    # (x.past, y.future), so within one strip class a gated pair is fixed
+    # by the signatures (past, moved past) of x and (future, moved future)
+    # of y: only the distinct ones are paired, and each side is evaluated
+    # once per class.  [x, y] itself is glued once per class, for every m.
     one = dv.ones(k)
+    shifts = {
+        m: suite.shifted(n, name, m) for m in dv.box(dv.neg(one), one) if not dv.is_zero(m)
+    }
     for group in by_origin.values():
-        past = _tokens(group, lambda w: w.past)
-        future = _tokens(group, lambda w: w.future)
-        glued: dict[tuple[int, int], Window] = {}
-
-        def glue(i: int, j: int) -> Window:
-            z = glued.get((past[i], future[j]))
-            if z is None:
-                z = glued[(past[i], future[j])] = bracket(group[i], group[j])
-            return z
-
-        for m in dv.box(dv.neg(one), one):
-            if dv.is_zero(m):
-                continue
+        glued: dict[tuple, Window] = {}
+        for m, moved in shifts.items():
+            cut = k * moved[0].N
             lo, hi = dv.meet(m, dv.zero(k)), dv.join(m, dv.zero(k))
-            ii, jj = np.nonzero(_eq_matrix(_block_tokens(group, lo, hi)))
-            moved = [shift(w, m) for w in group]
-            moved_past = _tokens(moved, lambda w: w.past)
-            moved_future = _tokens(moved, lambda w: w.future)
-            seen: dict[Window, int] = {}
-            lhs = _class_tokens(
-                ii, jj, moved_past, moved_future, lambda i, j: bracket(moved[i], moved[j]), seen
-            )
-            rhs = _class_tokens(
-                ii, jj, past, future, lambda i, j: shift(glue(i, j), m), seen
-            )
-            if bool(np.any(lhs != rhs)):
-                return CheckResult(name, "fail", f"sigma^{m} does not commute with bracket")
+            strips: dict[int, tuple[dict, dict]] = {}
+            for i, s in zip(group, _block_tokens([windows[i] for i in group], lo, hi)):
+                w, v = windows[i], moved[i]
+                pasts, futures = strips.setdefault(s, ({}, {}))
+                pasts.setdefault((w.key[:half], v.key[:cut]), i)
+                futures.setdefault((w.key[half:], v.key[cut:]), i)
+            lhs: dict[tuple, Window] = {}
+            rhs: dict[tuple, Window] = {}
+            for pasts, futures in strips.values():
+                for (p, mp), i in pasts.items():
+                    for (f, mf), j in futures.items():
+                        if (mp, mf) not in lhs:
+                            lhs[mp, mf] = bracket(moved[i], moved[j])
+                        if (p, f) not in rhs:
+                            if (p, f) not in glued:
+                                glued[p, f] = bracket(windows[i], windows[j])
+                            rhs[p, f] = shift(glued[p, f], m)
+                        if lhs[mp, mf] != rhs[p, f]:
+                            return CheckResult(
+                                name, "fail", f"sigma^{m} does not commute with bracket"
+                            )
     return CheckResult(name, "pass")
 
 
@@ -830,12 +843,10 @@ def check_mixing_lag(suite: Suite, name: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _tokens(windows: list[Window], extractor) -> "np.ndarray":
+def _tokens(windows: list[Window], extractor) -> list[int]:
     """Intern extractor(w) per window; equal tokens iff equal values."""
     intern: dict = {}
-    return np.array(
-        [intern.setdefault(extractor(w), len(intern)) for w in windows], dtype=np.int64
-    )
+    return [intern.setdefault(extractor(w), len(intern)) for w in windows]
 
 
 def _class_distances(
@@ -847,7 +858,7 @@ def _class_distances(
     Returns the tokens and rho per evaluated pair of classes (a, b), a < b.
     Equal windows are at distance 0 and are never evaluated.
     """
-    tokens = _tokens(windows, lambda w: w)
+    tokens = np.array(_tokens(windows, lambda w: w), dtype=np.int64)
     if not windows:
         return tokens, {}
     c = int(tokens.max()) + 1
@@ -864,7 +875,7 @@ def _class_distances(
     }
 
 
-def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
+def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> list[int]:
     """Intern x(m, n) per window by its raw read, as ``Window._read`` reads
     it: equal tokens iff equal blocks.  The box's plan is looked up once per
     grid layout (shape, corner, N)."""
@@ -881,46 +892,50 @@ def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> "np.ndarray":
                 read = functools.partial(plan.vertex, w.skeleton)
             reads[(shape, corner, w.N)] = read
         out.append(intern.setdefault(read(cells), len(intern)))
-    return np.array(out, dtype=np.int64)
+    return out
 
 
-def _eq_matrix(tokens: "np.ndarray") -> "np.ndarray":
-    return tokens[:, None] == tokens[None, :]
+# A relation on the swept windows is an equivalence relation, held as the
+# partition its class tokens induce: i ~ j iff tok[i] == tok[j].  The three
+# tests below count distinct tokens and token pairs, in O(W) for W windows.
 
 
-def _class_tokens(ii, jj, left, right, evaluate, seen: dict) -> "np.ndarray":
-    """Per pair (ii[t], jj[t]), the interned token of evaluate(i, j) for a
-    value that depends only on (left[i], right[j]): evaluated once per
-    class, on its first pair.  ``seen`` interns the values."""
-    classes = left[ii] * (int(right.max()) + 1) + right[jj]
-    _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
-    tokens = np.array(
-        [seen.setdefault(evaluate(ii[t], jj[t]), len(seen)) for t in first], dtype=np.int64
-    )
-    return tokens[inverse]
+def _refines(a: list, b: list) -> bool:
+    """a[i] == a[j] implies b[i] == b[j]: each a-class lies in one b-class."""
+    return len(set(zip(a, b))) == len(set(a))
 
 
-def _tail_eq(windows: list[Window], m: Degree) -> "np.ndarray":
-    # pairwise window-scale G_{s,m} membership via the tail block x(m, Ne)
+def _same(a: list, b: list) -> bool:
+    """a[i] == a[j] exactly when b[i] == b[j]."""
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def _meet(a: list, b: list, c: list) -> bool:
+    """c[i] == c[j] exactly when a[i] == a[j] and b[i] == b[j]."""
+    return _same(list(zip(a, b)), c)
+
+
+def _tail_eq(windows: list[Window], m: Degree) -> list[int]:
+    # window-scale G_{s,m} classes by the tail block x(m, Ne)
     ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
-    return _eq_matrix(_block_tokens(windows, m, ne))
+    return _block_tokens(windows, m, ne)
 
 
-def _head_eq(windows: list[Window], n0: Degree) -> "np.ndarray":
+def _head_eq(windows: list[Window], n0: Degree) -> list[int]:
     ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
-    return _eq_matrix(_block_tokens(windows, dv.neg(ne), n0))
+    return _block_tokens(windows, dv.neg(ne), n0)
 
 
 def _api_cross_check(
-    windows: list[Window], sweeps: list[tuple[Degree, "np.ndarray"]], predicate, rng: random.Random
+    windows: list[Window], sweeps: list[tuple[Degree, list[int]]], predicate, rng: random.Random
 ) -> bool:
     """The sweeps compare interned blocks; spot-check the public predicate
-    on seeded draws of (offset, i, j) over the (offset, eq) sweeps given."""
+    on seeded draws of (offset, i, j) over the (offset, tokens) sweeps given."""
     n = len(windows)
     for _ in range(min(120, len(sweeps) * n * n)):
-        m, eq = rng.choice(sweeps)
+        m, tok = rng.choice(sweeps)
         i, j = rng.randrange(n), rng.randrange(n)
-        if predicate(windows[i], windows[j], m) != bool(eq[i, j]):
+        if predicate(windows[i], windows[j], m) != (tok[i] == tok[j]):
             return False
     return True
 
@@ -935,7 +950,7 @@ def check_stable_nesting(suite: Suite, name: str) -> CheckResult:
     eq = {m: _tail_eq(windows, m) for m in dv.box(dv.neg(ne), ne)}
     for m in dv.box(dv.neg(one), one):
         for m2 in dv.box(m, ne):
-            if bool(np.any(eq[m] & ~eq[m2])):
+            if not _refines(eq[m], eq[m2]):
                 return CheckResult(name, "fail", f"stable at {m} but not at {m2}")
     rng = suite.rng(name + "-api")
     for m in (dv.neg(one), dv.zero(k), one):
@@ -965,16 +980,16 @@ def check_shift_conjugation(suite: Suite, name: str) -> CheckResult:
     for m in dv.box(dv.neg(one), one):
         if dv.norm_max(m) > cfg.radius - 1:
             continue
-        shifted = [shift(w, m) for w in windows]
+        shifted = suite.shifted(cfg.radius, name, m)
         aligned = m == dv.scaled(m[0], k) and m[0] >= 0
         inner = dv.scaled(shifted[0].N, k)
         sweeps = []
         for nn in dv.box(dv.neg(inner), inner):
             lhs = tail[dv.add(m, nn)]
             rhs = _tail_eq(shifted, nn)
-            if bool(np.any(lhs & ~rhs)):
+            if not _refines(lhs, rhs):
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) does not map into G_(s,{nn})")
-            if aligned and bool(np.any(lhs != rhs)):
+            if aligned and not _same(lhs, rhs):
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) mismatch under sigma^{m}")
             sweeps.append((nn, rhs))
         if not _api_cross_check(
@@ -996,10 +1011,10 @@ def check_fibered_product(suite: Suite, name: str) -> CheckResult:
         if dv.norm_max(m) > cfg.radius - 1:
             continue
         lhs = _tail_eq(windows, m)
-        rhs = _eq_matrix(_tokens(windows, lambda w: restriction_map(shift(w, m))))
-        if bool(np.any(lhs & ~rhs)):
+        rhs = _tokens(suite.shifted(cfg.radius, name, m), restriction_map)
+        if not _refines(lhs, rhs):
             return CheckResult(name, "fail", f"stable at {m} but pi differs")
-        if m == dv.scaled(m[0], k) and m[0] >= 0 and bool(np.any(lhs != rhs)):
+        if m == dv.scaled(m[0], k) and m[0] >= 0 and not _same(lhs, rhs):
             return CheckResult(name, "fail", f"pi(sigma^{m}) characterization fails")
     return CheckResult(name, "pass")
 
@@ -1011,17 +1026,14 @@ def check_asymptotic_meet(suite: Suite, name: str) -> CheckResult:
     windows = suite.windows(cfg.radius, name)
     rng = suite.rng(name + "-api")
     for m in dv.box(dv.zero(k), dv.ones(k)):
-        both = _tail_eq(windows, m) & _head_eq(windows, dv.neg(m))
-        asym = _eq_matrix(
-            _tokens(
-                windows,
-                lambda w: (
-                    w.extract(m, dv.scaled(w.N, k)),
-                    w.extract(dv.scaled(-w.N, k), dv.neg(m)),
-                ),
-            )
+        asym = _tokens(
+            windows,
+            lambda w: (
+                w.extract(m, dv.scaled(w.N, k)),
+                w.extract(dv.scaled(-w.N, k), dv.neg(m)),
+            ),
         )
-        if bool(np.any(both != asym)):
+        if not _meet(_tail_eq(windows, m), _head_eq(windows, dv.neg(m)), asym):
             return CheckResult(name, "fail", f"asymptotic != stable and unstable at {m}")
         if not _api_cross_check(
             windows, [(m, asym)], lambda x, y, mm: asymptotic_equiv(x, y, mm), rng
@@ -1044,7 +1056,7 @@ def check_opposite_swap(suite: Suite, name: str) -> CheckResult:
     for m in dv.box(dv.neg(one), one):
         direct = _head_eq(windows, m)
         swapped = _tail_eq(ops, dv.neg(m))
-        if bool(np.any(direct != swapped)):
+        if not _same(direct, swapped):
             return CheckResult(name, "fail", f"stable/unstable swap fails at m={m}")
         # the public predicates, directly and through the opposite windows
         ok_direct = _api_cross_check(

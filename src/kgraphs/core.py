@@ -647,9 +647,16 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
     b = dv.as_degree(b, sk.k)
     if not (dv.is_nonneg(a) and dv.leq(a, b) and dv.leq(b, lam.degree)):
         raise DegreeMismatch(f"box [{a}, {b}] does not sit inside [0, {lam.degree}]")
-    _, tail = _split(lam, a, dv.sub(lam.degree, a))
-    mid, _ = _split(tail, dv.sub(b, a), dv.sub(lam.degree, b))
-    return mid
+    # peeling the head of degree a leaves the normal word of lam(a, d(lam)),
+    # whose head of degree b - a is lam(a, b)
+    word = list(lam.word)
+    head = [_peel_color(sk, word, c) for c, _ in _peel(a)]
+    rng = sk.edge_map[head[-1]].source if head else lam.range
+    if b == lam.degree:
+        return _morphism(sk, dv.sub(b, a), tuple(word), rng, lam.source)
+    mid = [_peel_color(sk, word, c) for c, _ in _peel(dv.sub(b, a))]
+    src = sk.edge_map[mid[-1]].source if mid else rng
+    return _morphism(sk, dv.sub(b, a), tuple(mid), rng, src)
 
 
 # -- unit-edge grids ----------------------------------------------------------

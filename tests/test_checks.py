@@ -3,12 +3,20 @@
 Each test swaps a wrong variant of a window operation, relation predicate
 or measure evaluator into `kgraphs.checks` and asserts that the check
 reports `fail`, so the class-reduced, hoisted and reduced checks keep the
-power of the loops they replace.
+power of the loops they replace.  The partition tests behind the relation
+checks are compared with their W x W matrix definitions.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs import checks
 from kgraphs import degrees as dv
@@ -35,10 +43,10 @@ from kgraphs.dynamics import (
 )
 from kgraphs.errors import NotBracketable, NotConverged
 from kgraphs.measure import conditional_measure
-from kgraphs.relations import stable_equiv
+from kgraphs.relations import restriction_map, stable_equiv
 from kgraphs.spectral import vertex_matrix
 
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN
 from randgraphs import random_flip_2graph
 from test_counting import _non_commuting
 
@@ -382,11 +390,11 @@ def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):
     # the box [Ne, Ne] has the empty word: only the vertex x(Ne) is left
     windows = all_windows(g2, 2)
     ends = [w.extract((2,), (2,)).range for w in windows]
-    eq = checks._tail_eq(windows, (2,))
+    tok = checks._tail_eq(windows, (2,))
     assert {ends[i] == ends[j] for i in range(len(ends)) for j in range(len(ends))} == {True, False}
     for i, a in enumerate(ends):
         for j, b in enumerate(ends):
-            assert bool(eq[i, j]) == (a == b)
+            assert (tok[i] == tok[j]) == (a == b)
 
 
 def test_block_tokens_agree_with_extracted_morphisms(g3):
@@ -398,7 +406,124 @@ def test_block_tokens_agree_with_extracted_morphisms(g3):
         for m in dv.box((-n, -n), (n, n)):
             for top in dv.box(m, (n, n)):
                 extracted = [w.extract(m, top) for w in views]
-                eq = checks._eq_matrix(checks._block_tokens(views, m, top))
+                tok = checks._block_tokens(views, m, top)
                 for i, a in enumerate(extracted):
                     for j, b in enumerate(extracted):
-                        assert bool(eq[i, j]) == (a == b)
+                        assert (tok[i] == tok[j]) == (a == b)
+
+
+def test_bracket_axioms_catch_a_shift_wrong_only_on_bracketed_windows_for_one_m(g3, monkeypatch):
+    # the swept windows and their shifts are right: only sigma^m [x, y] for
+    # this one m reads the fault
+    made: dict[int, Window] = {}  # by id; holding z keeps its id from reuse
+
+    def recording(x, y):
+        z = bracket(x, y)
+        made[id(z)] = z
+        return z
+
+    def wrong(w, m):
+        return shift(w, dv.neg(m)) if m == (1, -1) and id(w) in made else shift(w, m)
+
+    monkeypatch.setattr(checks, "bracket", recording)
+    monkeypatch.setattr(checks, "shift", wrong)
+    result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
+    assert result.status == "fail"
+    assert result.detail == "sigma^(1, -1) does not commute with bracket"
+
+
+def test_bracket_axioms_catch_a_bracket_wrong_on_the_moved_windows_of_one_strip_class(
+    g3, monkeypatch
+):
+    # [sx, sy] returns sx for the shifts by m of the windows of one strip
+    # class x(0, m); every other bracket is right
+    m = (1, 1)
+    windows = all_windows(g3, CFG.radius)
+    strip = windows[5].extract((0, 0), m)
+    moved = {shift(w, m) for w in windows if w.extract((0, 0), m) == strip}
+    assert 1 < len(moved) < len(windows)
+
+    def wrong(x, y):
+        return x if x in moved and y in moved else bracket(x, y)
+
+    monkeypatch.setattr(checks, "bracket", wrong)
+    result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
+    assert result.status == "fail"
+    assert "commute" in result.detail
+
+
+def test_fibered_product_catches_a_restriction_map_wrong_on_one_window(g3, monkeypatch):
+    windows = all_windows(g3, CFG.radius)
+    target = windows[5]
+    other = next(w.future for w in windows if w.future != target.future)
+
+    def wrong(x):
+        return other if x == target else restriction_map(x)
+
+    assert checks.check_fibered_product(checks.Suite(g3, CFG)).status == "pass"
+    monkeypatch.setattr(checks, "restriction_map", wrong)
+    result = checks.check_fibered_product(checks.Suite(g3, CFG))
+    assert (result.status, result.detail) == ("fail", "stable at (0, 0) but pi differs")
+
+
+def _relation(tokens):
+    tokens = np.array(tokens)
+    return tokens[:, None] == tokens[None, :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 600), st.randoms(use_true_random=False), st.data())
+def test_partition_tests_match_the_boolean_matrices(n, width, rng, data):
+    # the oracle is the W x W definition of each test; the coarsened and
+    # relabelled draws make the true cases as common as the false ones
+    a = [rng.randrange(width) for _ in range(n)]
+    merge = [rng.randrange(max(1, width // 3)) for _ in range(width)]
+    relabel = rng.sample(range(10**6), width)
+    b = data.draw(
+        st.sampled_from(
+            [
+                [merge[t] for t in a],
+                [relabel[t] for t in a],
+                [rng.randrange(width) for _ in range(n)],
+            ]
+        )
+    )
+    meets = {}
+    c = data.draw(
+        st.sampled_from(
+            [
+                [meets.setdefault(pair, len(meets)) for pair in zip(a, b)],
+                [relabel[t] for t in a],
+                b,
+            ]
+        )
+    )
+    ra, rb, rc = _relation(a), _relation(b), _relation(c)
+    assert checks._refines(a, b) == (not np.any(ra & ~rb))
+    assert checks._refines(b, a) == (not np.any(rb & ~ra))
+    assert checks._same(a, b) == bool(np.all(ra == rb))
+    assert checks._meet(a, b, c) == bool(np.all((ra & rb) == rc))
+
+
+def test_a_suite_loads_no_module_beyond_those_the_cli_loads():
+    # a lazy import inside the battery stays resident for the whole run: a
+    # plain np.unique, for one, pulls in numpy.ma
+    code = f"""
+import sys
+import kgraphs.cli
+before = set(sys.modules)
+from pathlib import Path
+from kgraphs.checks import AnalysisConfig, run_suite
+for name in ("g1", "g2", "g3", "g4"):
+    sk = kgraphs.cli.parse_spec((Path({str(FIXTURES)!r}) / f"{{name}}.json").read_text())
+    assert not [r for r in run_suite(sk, AnalysisConfig()) if r.failed]
+print(sorted(set(sys.modules) - before))
+"""
+    src = str(FIXTURES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr[-4000:]
+    assert out.stdout.strip() == "[]"

@@ -305,6 +305,33 @@ def test_subblock_nesting(g3):
     assert inner == subblock(lam, (1, 1), (2, 2))
 
 
+def test_subblock_is_the_chained_factorization(fixture_graphs, random_skeletons):
+    # lam(a, b) is the head of degree b - a of the tail of degree d - a, on
+    # every box [a, b] of [0, d(lam)] of every lam of degree <= 2e: point
+    # boxes (the identity at x(a)), a = 0 and b = d(lam) included
+    assert random_skeletons[4].k == 3
+    boxes = 0
+    for sk in [*fixture_graphs.values(), random_skeletons[4]]:
+        zero = dv.zero(sk.k)
+        for d in dv.box(zero, dv.scaled(2, sk.k)):
+            for lam in enumerate_morphisms(sk, d):
+                for a in dv.box(zero, d):
+                    _, tail = factorize(lam, a, dv.sub(d, a))
+                    assert subblock(lam, a, a) == identity(sk, tail.range)
+                    for b in dv.box(a, d):
+                        mid, _ = factorize(tail, dv.sub(b, a), dv.sub(d, b))
+                        assert subblock(lam, a, b) == mid, (lam, a, b)
+                        boxes += 1
+                bad = dv.add(d, dv.ones(sk.k))
+                for a, b in [(zero, bad), (dv.neg(dv.ones(sk.k)), d), (d, zero)]:
+                    if a == b == zero:
+                        continue
+                    message = f"box [{a}, {b}] does not sit inside [0, {d}]"
+                    with pytest.raises(DegreeMismatch, match=re.escape(message)):
+                        subblock(lam, a, b)
+    assert boxes > 30_000
+
+
 def test_make_morphism_errors(g1, g2):
     with pytest.raises(MalformedSkeleton):
         make_morphism(g1, ["a", "nope"])
