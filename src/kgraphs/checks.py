@@ -7,20 +7,21 @@ several checks read (the connectivity class, the Perron data, the window
 lists and their shifts) once per run and keeps nothing on the skeleton.
 The relation checks compare the partitions that the stable, unstable and
 asymptotic relations induce on the swept windows, as lists of class
-tokens.  Checks that need Perron data skip non-irreducible graphs; the
-mixing check skips graphs that are not primitive within the search bound.
-Window sweeps beyond ``WINDOW_CAP`` fall back to seeded exact-uniform
-sampling, and the seed is part of the report, so runs are reproducible.
+tokens; the metric checks read rho once per pair of classes of equal
+shifted windows.  Checks that need Perron data skip non-irreducible
+graphs; the mixing check skips graphs that are not primitive within the
+search bound.  Window sweeps beyond ``WINDOW_CAP`` fall back to seeded
+exact-uniform sampling, and the seed is part of the report, so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import degrees as dv
 from .core import (
@@ -676,18 +677,30 @@ def check_expansiveness(suite: Suite, name: str) -> CheckResult:
     n = cfg.radius
     params = MetricParams(cfg.metric_r)
     windows = suite.windows(n, name)
-    # open_[i, j], i < j: no shift so far has separated windows i and j
-    open_ = np.triu(np.ones((len(windows), len(windows)), dtype=bool), 1)
+    # rho is an ultrametric, so "closer than r" is an equivalence relation.
+    # A block holds the windows that no shift so far has separated; a shift
+    # splits it into the connected components of "closer than r" on the
+    # shifted classes in it, reading rho once per pair of distinct classes
+    blocks = [list(range(len(windows)))] if len(windows) > 1 else []
     for m in dv.box(dv.scaled(-(n - 1), sk.k), dv.scaled(n - 1, sk.k)):
-        if not open_.any():
+        if not blocks:
             break
-        tokens, rho = _class_distances(suite.shifted(n, name, m), open_, params)
-        apart = np.zeros((int(tokens.max()) + 1,) * 2, dtype=bool)
-        for (a, b), value in rho.items():
-            apart[a, b] = apart[b, a] = value >= params.r
-        open_ &= ~apart[np.ix_(tokens, tokens)]
-    if open_.any():
-        i, j = divmod(int(np.argmax(open_)), len(windows))
+        tokens, rho = _class_distances(suite.shifted(n, name, m), params)
+        split = []
+        for block in blocks:
+            comp = {tokens[i]: {tokens[i]} for i in block}
+            for a, b in itertools.combinations(comp, 2):
+                if rho(a, b) < params.r and comp[a] is not comp[b]:
+                    comp[a] |= comp[b]
+                    for c in comp[b]:
+                        comp[c] = comp[a]
+            parts: dict[int, list[int]] = {}
+            for i in block:
+                parts.setdefault(id(comp[tokens[i]]), []).append(i)
+            split += [part for part in parts.values() if len(part) > 1]
+        blocks = split
+    if blocks:
+        i, j = min(blocks)[:2]
         return CheckResult(
             name, "fail", f"{windows[i]!r} and {windows[j]!r} are never separated"
         )
@@ -708,15 +721,10 @@ def check_contraction(suite: Suite, name: str) -> CheckResult:
         by_future.setdefault(w.key[half:], []).append(i)
         by_past.setdefault(w.key[:half], []).append(i)
     for grouping, sign in ((by_future, 1), (by_past, -1)):
-        fiber = np.empty(len(windows), dtype=np.int64)
-        for t, group in enumerate(grouping.values()):
-            fiber[group] = t
-        same = np.triu(np.equal.outer(fiber, fiber), 1)
         # moved[j]: the class tokens of sigma^{sign j e} of each window, and
-        # the rho of every pair of distinct shifted windows a fiber pair
-        # reads (equal shifted windows are at distance 0)
+        # rho between their classes
         moved = {
-            j: _class_distances(suite.shifted(n, name, dv.scaled(sign * j, sk.k)), same, params)
+            j: _class_distances(suite.shifted(n, name, dv.scaled(sign * j, sk.k)), params)
             for j in range(1, n)
         }
         for group in grouping.values():
@@ -725,9 +733,7 @@ def check_contraction(suite: Suite, name: str) -> CheckResult:
                     y, z = windows[i], windows[h]
                     rho0 = distance(y, z, params).rho
                     for j, (tokens, rho) in moved.items():
-                        a, b = sorted((tokens[i], tokens[h]))
-                        rho_j = rho[(a, b)] if a != b else 0.0
-                        if rho_j > params.r**j * rho0 + 1e-15:
+                        if rho(tokens[i], tokens[h]) > params.r**j * rho0 + 1e-15:
                             return CheckResult(
                                 name, "fail", f"contraction fails at j={j} for {y!r},{z!r}"
                             )
@@ -849,30 +855,23 @@ def _tokens(windows: list[Window], extractor) -> list[int]:
     return [intern.setdefault(extractor(w), len(intern)) for w in windows]
 
 
-def _class_distances(
-    windows: list[Window], pairs: "np.ndarray", params: MetricParams
-) -> tuple["np.ndarray", dict[tuple[int, int], float]]:
-    """Intern the windows, and evaluate ``distance`` once per unordered pair
-    of distinct windows that some pair (i, j) flagged in ``pairs`` reads.
+def _class_distances(windows: list[Window], params: MetricParams):
+    """Intern the windows, and ``rho(a, b)`` between the classes with tokens
+    a and b: equal windows are at distance 0, and ``distance`` runs once per
+    unordered pair of distinct classes, on the first read."""
+    tokens = _tokens(windows, lambda w: w)
+    first = list(dict.fromkeys(windows))  # the first window of each class
+    memo: dict[tuple[int, int], float] = {}
 
-    Returns the tokens and rho per evaluated pair of classes (a, b), a < b.
-    Equal windows are at distance 0 and are never evaluated.
-    """
-    tokens = np.array(_tokens(windows, lambda w: w), dtype=np.int64)
-    if not windows:
-        return tokens, {}
-    c = int(tokens.max()) + 1
-    # fold the flagged pairs onto classes: read[a, b] when some flagged
-    # (i, j) has i in class a and j in class b (boolean, no n x c matrix)
-    order = np.argsort(tokens, kind="stable")
-    starts = np.searchsorted(tokens[order], np.arange(c))
-    by_row = np.logical_or.reduceat(pairs[order], starts, axis=0)
-    read = np.logical_or.reduceat(by_row[:, order], starts, axis=1)
-    first = order[starts]  # the first window of each class
-    return tokens, {
-        (a, b): distance(windows[first[a]], windows[first[b]], params).rho
-        for a, b in zip(*np.nonzero(np.triu(read | read.T, 1)))
-    }
+    def rho(a: int, b: int) -> float:
+        if a == b:
+            return 0.0
+        a, b = min(a, b), max(a, b)
+        if (a, b) not in memo:
+            memo[a, b] = distance(first[a], first[b], params).rho
+        return memo[a, b]
+
+    return tokens, rho
 
 
 def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> list[int]:

@@ -683,8 +683,10 @@ class ReadPlan:
         self.slots = slots
         if len(slots) > 1:
             self.read: Callable[[Sequence[str]], tuple[str, ...]] = itemgetter(*slots)
-        else:  # itemgetter of one slot returns the item, not a 1-tuple
-            self.read = lambda cells: tuple(cells[slot] for slot in slots)  # noqa: E731
+        elif slots:  # itemgetter of one slot returns the item, not a 1-tuple
+            self.read = lambda cells, slot=slots[0]: (cells[slot],)  # noqa: E731
+        else:
+            self.read = lambda cells: ()  # noqa: E731
         self.degree = degree
         self.point = point
 

@@ -7,15 +7,18 @@ matrices, the only matrices a skeleton keeps, and a sweep over a box of
 degrees builds its own table, one sparse generator step per degree, and
 drops it on return.  Floating point enters only in the Perron eigendata,
 which is computed by power iteration on an entrywise-positive combination
-of vertex matrices.
+of vertex matrices.  The eigendata are lists of floats, and every dot
+product, norm and mean is summed with ``math.fsum``, which rounds exactly,
+so they depend on no linear-algebra kernel and no Python version.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-
-import numpy as np
 
 from . import degrees as dv
 from .core import (
@@ -178,17 +181,25 @@ class PerronData:
             raise GraphMismatch("morphism belongs to a different skeleton")
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 200_000) -> tuple[np.ndarray, float]:
-    v = np.ones(a.shape[0])
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return math.fsum(map(operator.mul, x, y))
+
+
+def _power_iteration(
+    a: Sequence[Sequence[float]], tol: float, max_iter: int = 200_000
+) -> tuple[list[float], float]:
+    v = [1.0] * len(a)
     for _ in range(max_iter):
-        w = a @ v
-        lam = float(w @ v) / float(v @ v)
-        resid = float(np.abs(w - lam * v).max()) / float(np.abs(v).max())
+        w = [_dot(row, v) for row in a]
+        lam = _dot(w, v) / _dot(v, v)
+        top = max(map(abs, v))
+        resid = max(abs(x - lam * y) for x, y in zip(w, v)) / top
         # relative to the eigenvalue's scale: a large positive combination
         # has an absolute residual no finer than its float resolution
         if resid <= tol * max(1.0, abs(lam)):
-            return v / np.abs(v).max(), resid
-        v = w / np.abs(w).max()
+            return [x / top for x in v], resid
+        top = max(map(abs, w))
+        v = [x / top for x in w]
     raise NotConverged(f"power iteration did not reach residual {tol} relative to the eigenvalue")
 
 
@@ -213,37 +224,32 @@ def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:
                 f"no entrywise-positive sum of vertex matrices for bounds up to {bound}"
             )
         bound = dv.add(bound, dv.ones(sk.k))
-    a_mat = np.array(acc, dtype=float)
-    b_vec, resid_b = _power_iteration(a_mat, tol)
-    a_vec, resid_a = _power_iteration(a_mat.T, tol)
+    b_vec, resid_b = _power_iteration([list(map(float, row)) for row in acc], tol)
+    a_vec, resid_a = _power_iteration([list(map(float, col)) for col in zip(*acc)], tol)
     residual = max(resid_a, resid_b)
     ts: list[float] = []
     for c in range(sk.k):
-        gen = np.array(_generator_matrix(sk, c), dtype=float)
-        ratios_b = (gen @ b_vec) / b_vec
-        ratios_a = (gen.T @ a_vec) / a_vec
-        ti = float(np.mean(ratios_b))
+        gen = _generator_matrix(sk, c)
+        ratios_b = [_dot(row, b_vec) / y for row, y in zip(gen, b_vec)]
+        ratios_a = [_dot(col, a_vec) / x for col, x in zip(zip(*gen), a_vec)]
+        ti = math.fsum(ratios_b) / nv
         ts.append(ti)
-        residual = max(
-            residual,
-            float(np.abs(ratios_b - ti).max()),
-            float(np.abs(ratios_a - ti).max()),
-        )
+        residual = max(residual, *(abs(x - ti) for x in ratios_b + ratios_a))
     # sum a(v) b(v) = 1 leaves one scaling free; balance the 2-norms so
     # that a = b whenever the positive combination is symmetric
-    pairing = float(a_vec @ b_vec)
-    na = float(np.linalg.norm(a_vec))
-    nb = float(np.linalg.norm(b_vec))
-    a_vec = a_vec * np.sqrt(nb / (na * pairing))
-    b_vec = b_vec * np.sqrt(na / (nb * pairing))
-    deviation = abs(float(a_vec @ b_vec) - 1.0)
+    pairing = _dot(a_vec, b_vec)
+    na = math.sqrt(_dot(a_vec, a_vec))
+    nb = math.sqrt(_dot(b_vec, b_vec))
+    scale_a, scale_b = math.sqrt(nb / (na * pairing)), math.sqrt(na / (nb * pairing))
+    a_vec = [x * scale_a for x in a_vec]
+    b_vec = [x * scale_b for x in b_vec]
     return PerronData(
         skeleton=sk,
         t=tuple(ts),
-        a={v: float(a_vec[i]) for i, v in enumerate(sk.vertices)},
-        b={v: float(b_vec[i]) for i, v in enumerate(sk.vertices)},
+        a=dict(zip(sk.vertices, a_vec)),
+        b=dict(zip(sk.vertices, b_vec)),
         residual=residual,
-        normalization_deviation=deviation,
+        normalization_deviation=abs(_dot(a_vec, b_vec) - 1.0),
         tol=tol,
     )
 

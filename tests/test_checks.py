@@ -4,7 +4,8 @@ Each test swaps a wrong variant of a window operation, relation predicate
 or measure evaluator into `kgraphs.checks` and asserts that the check
 reports `fail`, so the class-reduced, hoisted and reduced checks keep the
 power of the loops they replace.  The partition tests behind the relation
-checks are compared with their W x W matrix definitions.
+checks are compared with their W x W matrix definitions, and the pairs of
+windows that the metric checks measure with their all-pairs definitions.
 """
 
 import math
@@ -12,9 +13,11 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +182,60 @@ def test_contraction_catches_a_distance_wrong_on_one_pair_of_shifted_windows(g1,
     result = checks.check_contraction(checks.Suite(g1, cfg))
     assert result.status == "fail"
     assert result.detail.startswith("contraction fails at j=1")
+
+
+def _pairs_read(check, sk, cfg, monkeypatch):
+    """The unordered pairs of windows that ``check`` passes to
+    ``checks.distance``, with the number of calls on each."""
+    read = Counter()
+
+    def recording(x, y, params=MetricParams()):
+        read[frozenset((x, y))] += 1
+        return distance(x, y, params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "distance", recording)
+        assert check(checks.Suite(sk, cfg)).status == "pass"
+    return read
+
+
+@pytest.mark.parametrize("name, radius", [("g1", 3), ("g2", 3), ("g3", 2)])
+def test_metric_checks_read_each_pair_of_the_all_pairs_definitions_once(
+    name, radius, request, monkeypatch
+):
+    # the all-pairs definitions read, per shifted sweep, the pairs of
+    # distinct shifted windows of every pair of windows still open
+    # (expansiveness) or in one fiber (contraction); the class-reduced
+    # checks must read the same set, each pair once per sweep
+    sk = request.getfixturevalue(name)
+    cfg = replace(CFG, radius=radius)
+    windows = all_windows(sk, radius)
+    expanding = Counter()
+    open_ = {(i, j) for i in range(len(windows)) for j in range(i + 1, len(windows))}
+    for m in dv.box(dv.scaled(1 - radius, sk.k), dv.scaled(radius - 1, sk.k)):
+        moved = [shift(w, m) for w in windows]
+        sweep = {frozenset((moved[i], moved[j])) for i, j in open_ if moved[i] != moved[j]}
+        expanding.update(sweep)
+        apart = {pair for pair in sweep if distance(*pair).rho >= cfg.metric_r}
+        open_ = {(i, j) for i, j in open_ if frozenset((moved[i], moved[j])) not in apart}
+        if not open_:
+            break
+    contracting = Counter()
+    half = sk.k * radius
+    for cut, sign in ((slice(half, None), 1), (slice(None, half), -1)):
+        fiber_pairs = [
+            (y, z) for i, y in enumerate(windows) for z in windows[i + 1 :] if y.key[cut] == z.key[cut]
+        ]
+        contracting.update({frozenset(pair) for pair in fiber_pairs})
+        for j in range(1, radius):
+            moved = {w: shift(w, dv.scaled(sign * j, sk.k)) for w in windows}
+            contracting.update(
+                {frozenset((moved[y], moved[z])) for y, z in fiber_pairs if moved[y] != moved[z]}
+            )
+    assert _pairs_read(checks.check_expansiveness, sk, cfg, monkeypatch) == expanding
+    assert _pairs_read(checks.check_contraction, sk, cfg, monkeypatch) == contracting
+    calls = {"g1": 744, "g2": 221, "g3": 4120}[name]
+    assert sum(expanding.values()) + sum(contracting.values()) == calls
 
 
 def test_window_consistency_catches_a_subblock_wrong_only_on_the_past_box(
@@ -506,17 +563,22 @@ def test_partition_tests_match_the_boolean_matrices(n, width, rng, data):
 
 
 def test_a_suite_loads_no_module_beyond_those_the_cli_loads():
-    # a lazy import inside the battery stays resident for the whole run: a
-    # plain np.unique, for one, pulls in numpy.ma
+    # a lazy import inside the battery stays resident for the whole run; the
+    # library needs the standard library alone, so numpy (the tests' oracle)
+    # is loaded neither by the import nor by the commands that read floats
     code = f"""
 import sys
+import kgraphs
 import kgraphs.cli
+assert "numpy" not in sys.modules
 before = set(sys.modules)
 from pathlib import Path
-from kgraphs.checks import AnalysisConfig, run_suite
 for name in ("g1", "g2", "g3", "g4"):
-    sk = kgraphs.cli.parse_spec((Path({str(FIXTURES)!r}) / f"{{name}}.json").read_text())
-    assert not [r for r in run_suite(sk, AnalysisConfig()) if r.failed]
+    text = (Path({str(FIXTURES)!r}) / f"{{name}}.json").read_text()
+    # exit code 0: no violation, so no failed suite row
+    for command in ("spectral", "measure", "suite"):
+        assert kgraphs.cli.run(command, text).exit_code == 0, (name, command)
+assert "numpy" not in sys.modules
 print(sorted(set(sys.modules) - before))
 """
     src = str(FIXTURES.parent / "src")

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from kgraphs import degrees as dv
-from kgraphs.core import ColoredEdge, Skeleton, enumerate_morphisms
-from kgraphs.errors import DegreeMismatch, NotIrreducible
+from kgraphs.core import ColoredEdge, Skeleton, combine, enumerate_morphisms
+from kgraphs.errors import DegreeMismatch, NotConverged, NotIrreducible
 from kgraphs.spectral import (
     AperiodicWitness,
     GlobalPeriod,
+    _power_iteration,
     af_multiplicities,
     aperiodicity_probe,
     classify_connectivity,
@@ -211,6 +212,63 @@ def test_perron_converges_where_the_positive_combination_is_large():
     rho = max(abs(np.linalg.eigvals([[m.entry(u, v) for v in sk.vertices] for u in sk.vertices])))
     assert abs(pd.t[0] - rho) <= 1e-9 * rho
     assert abs(pd.t[0] - 2.2066424095) <= 1e-9
+
+
+def _numpy_perron(sk):
+    """t, a and b from numpy.linalg: t_i the spectral radius of M_i, and b
+    and a the Perron right and left eigenvectors of M_0 + ... + M_{k-1}
+    (irreducible, so each is unique up to scale), scaled so that
+    sum a b = 1 and |a| = |b|."""
+    gens = [
+        np.array(vertex_matrix(sk, dv.unit(c, sk.k)).entries, dtype=float) for c in range(sk.k)
+    ]
+    t = [max(abs(np.linalg.eigvals(g))) for g in gens]
+
+    def perron_vector(m):
+        values, vectors = np.linalg.eig(m)
+        v = vectors[:, np.argmax(values.real)].real
+        return v / np.linalg.norm(v) * np.sign(v.sum())
+
+    b = perron_vector(sum(gens))
+    a = perron_vector(sum(gens).T)
+    scale = math.sqrt(a @ b)
+    return t, dict(zip(sk.vertices, a / scale)), dict(zip(sk.vertices, b / scale))
+
+
+@pytest.mark.parametrize(
+    "sk",
+    [
+        random_1graph(random.Random(40), 40, 40),
+        combine(
+            random_1graph(random.Random(1), 6, 4), random_1graph(random.Random(2), 6, 4), "product"
+        ),
+        combine(
+            random_1graph(random.Random(3), 4, 3), random_1graph(random.Random(4), 5, 2), "product"
+        ),
+    ],
+    ids=["r40", "p36", "product20"],
+)
+def test_perron_data_matches_numpy_eigendata(sk):
+    pd = perron_data(sk)
+    t, a, b = _numpy_perron(sk)
+    assert all(abs(x - y) <= 1e-9 * y for x, y in zip(pd.t, t, strict=True))
+    for v in sk.vertices:
+        assert abs(pd.a[v] - a[v]) <= 1e-9
+        assert abs(pd.b[v] - b[v]) <= 1e-9
+
+
+def test_power_iteration_raises_when_it_runs_out_of_steps(g2):
+    # g2's positive combination |Lambda^1| + |Lambda^2|, three steps short
+    # of the tolerance
+    m1, m2 = vertex_matrix(g2, (1,)).entries, vertex_matrix(g2, (2,)).entries
+    a = [[float(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+    assert min(map(min, a)) > 0
+    with pytest.raises(NotConverged, match="did not reach residual 1e-12"):
+        _power_iteration(a, 1e-12, max_iter=3)
+    # with the default budget the same matrix converges, to phi + phi^2
+    vector, residual = _power_iteration(a, 1e-12)
+    assert residual <= 1e-12 * (PHI + PHI**2) * (1 + 1e-9)
+    assert abs(vector[1] / vector[0] - 1 / PHI) <= 1e-12
 
 
 def test_perron_refuses_reducible(split_graph):
