@@ -33,12 +33,8 @@ class NotIrreducible(KGraphError):
     """Perron data requires an irreducible graph."""
 
 
-class NoPositiveCombination(KGraphError):
-    """No entrywise-positive sum of vertex matrices found within bound."""
-
-
 class NotConverged(KGraphError):
-    """Power iteration did not reach the residual tolerance."""
+    """Power iteration did not settle within its step budget."""
 
 
 class NotPrimitive(KGraphError):

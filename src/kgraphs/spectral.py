@@ -3,13 +3,14 @@
 Vertex matrices are exact: entries are Python ints, so arbitrarily large
 path counts never overflow.  They come from the counting engine in core:
 one matrix is a product of the binary powers M_c^(2^j) of the generator
-matrices, the only matrices a skeleton keeps, and a sweep over a box of
-degrees builds its own table, one sparse generator step per degree, and
-drops it on return.  Floating point enters only in the Perron eigendata,
-which is computed by power iteration on an entrywise-positive combination
-of vertex matrices.  The eigendata are lists of floats, and every dot
-product, norm and mean is summed with ``math.fsum``, which rounds exactly,
-so they depend on no linear-algebra kernel and no Python version.
+matrices, the only matrices a skeleton keeps.  Connectivity steps the
+diagonal corners of its search box one sparse generator step at a time and
+builds one box table, up to the first positive corner, which it drops on
+return.  Floating point enters only in the Perron eigendata, which is
+computed by power iteration on I + sum_c M_c read straight from the edge
+list.  The eigendata are lists of floats, and every sum, dot product and
+norm is taken with ``math.fsum``, which rounds exactly, so they depend on
+no linear-algebra kernel and no Python version.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 
 from . import degrees as dv
 from .core import (
@@ -27,7 +27,8 @@ from .core import (
     Skeleton,
     Vertex,
     _box_table,
-    _generator_matrix,
+    _identity_rows,
+    _step_rows,
     _vm,
     count_morphisms,
     enumerate_morphisms,
@@ -35,7 +36,7 @@ from .core import (
     unit_grid,
 )
 from .degrees import Degree
-from .errors import DegreeMismatch, GraphMismatch, NoPositiveCombination, NotConverged, NotIrreducible
+from .errors import DegreeMismatch, GraphMismatch, NotConverged, NotIrreducible
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,6 @@ class VertexMatrix:
         }
 
 
-def _mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def vertex_matrix(sk: Skeleton, p: Degree) -> VertexMatrix:
     """|Lambda^p| as a product of binary powers of the color-generator
     matrices, exact."""
@@ -93,56 +90,61 @@ class ConnectivityClass:
 
 
 def _is_irreducible(sk: Skeleton) -> bool:
-    # every ordered pair (u, v) must be joined by a path of length >= 1
-    succ: dict[Vertex, set[Vertex]] = {v: set() for v in sk.vertices}
+    # every ordered pair (u, v) is joined by a path of length >= 1 exactly
+    # when one vertex reaches every vertex, itself included, in one or more
+    # steps both along the edges and against them: u then reaches v via it
+    succ: dict[Vertex, list[Vertex]] = {v: [] for v in sk.vertices}
+    pred: dict[Vertex, list[Vertex]] = {v: [] for v in sk.vertices}
     for e in sk.edges:
-        succ[e.range].add(e.source)
-    for u in sk.vertices:
+        succ[e.range].append(e.source)
+        pred[e.source].append(e.range)
+    for step in (succ, pred):
         reached: set[Vertex] = set()
-        frontier = list(succ[u])
+        frontier = list(step[sk.vertices[0]])
         while frontier:
             w = frontier.pop()
-            if w in reached:
-                continue
-            reached.add(w)
-            frontier.extend(succ[w])
-        if reached != set(sk.vertices):
+            if w not in reached:
+                reached.add(w)
+                frontier.extend(step[w])
+        if len(reached) != len(sk.vertices):
             return False
     return True
 
 
 def classify_connectivity(sk: Skeleton, search_bound: Degree) -> ConnectivityClass:
-    """Exact irreducibility plus a bounded scan for an entrywise-positive power."""
+    """Exact irreducibility, and the least m in (norm_max, total, m) order
+    with |Lambda^n| > 0 for every n in [m, bound].
+
+    The corners meet(c e, bound), c = 1, 2, ..., are stepped one sparse
+    generator step per color.  A positive corner has every generator as a
+    factor, so (the generators commuting once the squares biject) none has
+    a zero row or column, and every degree above a positive one is
+    positive: the qualifying degrees are the positive ones.  None has a
+    norm below the first positive corner's c, whose corner would be
+    positive, so one table of that corner's box holds the threshold.
+    """
     bound = dv.as_degree(search_bound, sk.k)
     if not dv.leq(dv.ones(sk.k), bound):
         raise DegreeMismatch(f"search bound {bound} must be >= e")
     irreducible = _is_irreducible(sk)
-    # m qualifies when |Lambda^m| > 0 on every degree of [m, bound], which is
-    # m together with the boxes [m + e_i, bound]: a pass in reverse
-    # lexicographic order decides m from its upper neighbours, and a
-    # neighbour past the bound is absent from the table and imposes nothing
-    units = [dv.unit(i, sk.k) for i in range(sk.k)]
-    table = _box_table(sk, bound)
-    qualifies: dict[Degree, bool] = {}
-    for m in reversed(list(table)[1:]):  # [1:] drops 0
-        qualifies[m] = all(qualifies.get(dv.add(m, u), True) for u in units) and (
-            VertexMatrix(m, sk.vertices, table[m]).is_positive()
-        )
-    candidates = [m for m, ok in qualifies.items() if ok]
-    if not candidates:
-        return ConnectivityClass(
-            irreducible=irreducible,
-            primitive=False,
-            threshold=None,
-            inconclusive=irreducible,
-            search_bound=bound,
-        )
-    threshold = min(candidates, key=lambda m: (dv.norm_max(m), dv.total(m), m))
+    threshold = None
+    rows = _identity_rows(len(sk.vertices))
+    for c in range(1, max(bound) + 1):
+        for i in range(sk.k):
+            if bound[i] >= c:
+                rows = _step_rows(sk, i, rows)
+        if all(map(all, rows)):  # entries are counts: nonzero is positive
+            table = _box_table(sk, dv.meet(dv.scaled(c, sk.k), bound))
+            threshold = min(
+                (m for m, m_rows in table.items() if dv.norm_max(m) == c and all(map(all, m_rows))),
+                key=lambda m: (dv.total(m), m),
+            )
+            break
     return ConnectivityClass(
         irreducible=irreducible,
-        primitive=True,
+        primitive=threshold is not None,
         threshold=threshold,
-        inconclusive=False,
+        inconclusive=irreducible and threshold is None,
         search_bound=bound,
     )
 
@@ -185,58 +187,58 @@ def _dot(x: Sequence[float], y: Sequence[float]) -> float:
     return math.fsum(map(operator.mul, x, y))
 
 
-def _power_iteration(
-    a: Sequence[Sequence[float]], tol: float, max_iter: int = 200_000
-) -> tuple[list[float], float]:
-    v = [1.0] * len(a)
+def _sums(lists: Sequence[Sequence[int]], x: list[float]) -> list[float]:
+    """Per entry of ``lists``, the sum of x over its indices."""
+    at = x.__getitem__
+    return [math.fsum(map(at, indices)) for indices in lists]
+
+
+def _power_iteration(lists: list[list[int]], tol: float, max_iter: int = 200_000) -> list[float]:
+    """The Perron vector, scaled to max 1, of the matrix whose row i sums
+    the entries at the indices ``lists[i]``.  Stops once the scaled
+    iterate moves by at most tol / 10: a residual relative to the
+    eigenvalue stops too early on a small spectral gap."""
+    v = [1.0] * len(lists)
     for _ in range(max_iter):
-        w = [_dot(row, v) for row in a]
-        lam = _dot(w, v) / _dot(v, v)
-        top = max(map(abs, v))
-        resid = max(abs(x - lam * y) for x, y in zip(w, v)) / top
-        # relative to the eigenvalue's scale: a large positive combination
-        # has an absolute residual no finer than its float resolution
-        if resid <= tol * max(1.0, abs(lam)):
-            return [x / top for x in v], resid
-        top = max(map(abs, w))
-        v = [x / top for x in w]
-    raise NotConverged(f"power iteration did not reach residual {tol} relative to the eigenvalue")
+        w = _sums(lists, v)
+        top = max(w)
+        w = [x / top for x in w]
+        if max(map(abs, map(operator.sub, w, v))) <= tol / 10:
+            return w
+        v = w
+    raise NotConverged(f"power iteration moved by more than {tol / 10} after {max_iter} steps")
 
 
 def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:
     """Perron vector t and eigenfunctions a, b for an irreducible graph.
 
-    A positive integer matrix A = sum of |Lambda^p| over 0 != p <= B is
-    built with B = e, escalating B by e until A is entrywise positive.
+    b and a are the right and left Perron vectors of I + sum_c M_c, which
+    is primitive when the graph is irreducible and shares the Perron
+    vectors of sum_c M_c; power iteration reads its rows (u and the
+    sources of the edges into u) and columns off the edge list.  t_c is the
+    mean of the ratios (M_c b)(u) / b(u); the residual is the largest
+    deviation from t_c of these and of the ratios (a M_c)(v) / a(v).
     """
     if not _is_irreducible(sk):
         raise NotIrreducible("graph is not irreducible")
     nv = len(sk.vertices)
-    bound = dv.ones(sk.k)
-    limit = max(nv, 1)
-    while True:
-        terms = list(_box_table(sk, bound).values())[1:]  # [1:] drops 0
-        acc = reduce(_mat_add, terms)
-        if all(x > 0 for row in acc for x in row):
-            break
-        if max(bound) >= limit:
-            raise NoPositiveCombination(
-                f"no entrywise-positive sum of vertex matrices for bounds up to {bound}"
-            )
-        bound = dv.add(bound, dv.ones(sk.k))
-    b_vec, resid_b = _power_iteration([list(map(float, row)) for row in acc], tol)
-    a_vec, resid_a = _power_iteration([list(map(float, col)) for col in zip(*acc)], tol)
-    residual = max(resid_a, resid_b)
+    idx = sk._vertex_index
+    sources = sk._sources  # per color and vertex, the sources of its in-edges
+    ranges: list[list[list[int]]] = [[[] for _ in range(nv)] for _ in range(sk.k)]
+    for e in sk.edges:
+        ranges[e.color][idx[e.source]].append(idx[e.range])
+    b_vec = _power_iteration([[u, *(s for c in sources for s in c[u])] for u in range(nv)], tol)
+    a_vec = _power_iteration([[v, *(r for c in ranges for r in c[v])] for v in range(nv)], tol)
+    residual = 0.0
     ts: list[float] = []
     for c in range(sk.k):
-        gen = _generator_matrix(sk, c)
-        ratios_b = [_dot(row, b_vec) / y for row, y in zip(gen, b_vec)]
-        ratios_a = [_dot(col, a_vec) / x for col, x in zip(zip(*gen), a_vec)]
+        ratios_b = list(map(operator.truediv, _sums(sources[c], b_vec), b_vec))
+        ratios_a = list(map(operator.truediv, _sums(ranges[c], a_vec), a_vec))
         ti = math.fsum(ratios_b) / nv
         ts.append(ti)
         residual = max(residual, *(abs(x - ti) for x in ratios_b + ratios_a))
     # sum a(v) b(v) = 1 leaves one scaling free; balance the 2-norms so
-    # that a = b whenever the positive combination is symmetric
+    # that a = b whenever sum_c M_c is symmetric
     pairing = _dot(a_vec, b_vec)
     na = math.sqrt(_dot(a_vec, a_vec))
     nb = math.sqrt(_dot(b_vec, b_vec))

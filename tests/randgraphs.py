@@ -13,6 +13,7 @@ and for k >= 3 random tables are almost never cube consistent).  Instead:
 
 from __future__ import annotations
 
+import json
 import random
 
 from kgraphs.core import ColoredEdge, Skeleton, SquareRule, combine, validate_skeleton
@@ -63,3 +64,21 @@ def make_random_skeletons(seed: int) -> list[Skeleton]:
         report = validate_skeleton(sk)
         assert report.ok, f"generator produced an invalid skeleton: {report.codes()}"
     return graphs
+
+
+def document(sk: Skeleton) -> str:
+    """The JSON document of sk, as the CLI reads it."""
+    return json.dumps(
+        {
+            "k": sk.k,
+            "vertices": list(sk.vertices),
+            "edges": [
+                {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
+                for e in sk.edges
+            ],
+            "squares": [
+                {"pair": list(r.pair), "left": list(r.left), "right": list(r.right)}
+                for r in sk.squares
+            ],
+        }
+    )

@@ -4,12 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs.cli import main, parse_document, parse_spec, render_value, run
 from kgraphs.errors import MalformedSkeleton, ParseError
 
 from conftest import FIXTURES
-from randgraphs import random_1graph
+from randgraphs import document, make_random_skeletons, random_1graph, random_flip_2graph
 
 
 @pytest.fixture(scope="module")
@@ -208,20 +210,29 @@ def test_bad_inputs_are_input_violations(name, mutate, overrides):
 
 
 def test_spectral_reports_a_stalled_power_iteration():
-    # the positive combination of this graph has spectral radius ~2.4e4,
-    # where an absolute residual of 1e-12 lies below float64 resolution;
-    # the residual is relative to the eigenvalue, so both the spectral
-    # report and the whole suite pass
-    sk = random_1graph(random.Random(40), 40, 40)
-    doc = {
-        "k": 1,
-        "vertices": list(sk.vertices),
-        "edges": [
-            {"id": e.id, "color": e.color, "range": e.range, "source": e.source}
-            for e in sk.edges
-        ],
-        "squares": [],
-    }
+    # r40 once stalled a power iteration on a positive combination of
+    # spectral radius ~2.4e4, where an absolute residual of 1e-12 lies below
+    # float64 resolution; both the spectral report and the whole suite pass
+    text = document(random_1graph(random.Random(40), 40, 40))
     for command in ("spectral", "suite"):
-        report = run(command, json.dumps(doc))
+        report = run(command, text)
         assert report.exit_code == 0, (command, report.render())
+
+
+_RNG = st.randoms(use_true_random=False)
+_GRAPHS = st.one_of(
+    st.builds(random_1graph, _RNG, st.integers(1, 6), st.integers(0, 6)),
+    st.builds(random_flip_2graph, _RNG, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(
+        lambda seed, i: make_random_skeletons(seed)[i], st.integers(0, 10**6), st.integers(0, 4)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRAPHS, st.integers(1, 500))
+def test_spectral_ends_in_an_exit_code_and_reruns_byte_identically(sk, bound):
+    text = document(sk)
+    report = run("spectral", text, {"bound": bound})
+    assert report.exit_code in (0, 1, 2)
+    assert report.render() == run("spectral", text, {"bound": bound}).render()

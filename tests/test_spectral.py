@@ -7,11 +7,21 @@ import numpy as np
 import pytest
 
 from kgraphs import degrees as dv
-from kgraphs.core import ColoredEdge, Skeleton, combine, enumerate_morphisms
+from kgraphs import spectral
+from kgraphs.cli import run
+from kgraphs.core import (
+    ColoredEdge,
+    Skeleton,
+    _generator_matrix,
+    _mat_mul,
+    combine,
+    enumerate_morphisms,
+)
 from kgraphs.errors import DegreeMismatch, NotConverged, NotIrreducible
 from kgraphs.spectral import (
     AperiodicWitness,
     GlobalPeriod,
+    _is_irreducible,
     _power_iteration,
     af_multiplicities,
     aperiodicity_probe,
@@ -20,9 +30,14 @@ from kgraphs.spectral import (
     vertex_matrix,
 )
 
-from randgraphs import random_1graph
+from conftest import load_fixture
+from randgraphs import document, make_random_skeletons, random_1graph
 
 PHI = (1 + math.sqrt(5)) / 2
+R40 = random_1graph(random.Random(40), 40, 40)
+P36 = combine(
+    random_1graph(random.Random(1), 6, 4), random_1graph(random.Random(2), 6, 4), "product"
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +105,6 @@ def test_matrix_counts_match_enumeration(test_graphs):
 
 
 def test_semigroup_and_commutation(test_graphs):
-    from kgraphs.core import _generator_matrix, _mat_mul
-
     for sk in test_graphs:
         for p in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
             for q in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
@@ -151,6 +164,120 @@ def test_classify_needs_bound_at_least_e(g1):
         classify_connectivity(g1, (0,))
 
 
+def _threshold_by_definition(sk, bound):
+    """The least m in (norm_max, total, m) order that qualifies: m != 0 and
+    |Lambda^n| > 0 for every n in [m, bound], read off one matrix per n."""
+    positive = {n: vertex_matrix(sk, n).is_positive() for n in dv.box(dv.zero(sk.k), bound)}
+    return min(
+        (m for m in positive if not dv.is_zero(m) and all(map(positive.get, dv.box(m, bound)))),
+        key=lambda m: (dv.norm_max(m), dv.total(m), m),
+        default=None,
+    )
+
+
+def _missing_a_color():
+    """Unvalidated skeletons where a vertex misses a color.  In the first
+    three, degrees that avoid the missing color can be positive and none
+    that uses it is, so positivity is not upward closed; in the 1-graph,
+    nothing enters v."""
+    e = ColoredEdge
+    fib = (e("a", 0, "u", "u"), e("b", 0, "u", "v"), e("c", 0, "v", "u"))
+    loops = (e("b1", 0, "v", "v"), e("b2", 0, "v", "v"), e("r", 1, "v", "v"))
+    return [
+        Skeleton(2, ("v",), (e("b", 0, "v", "v"),), ()),
+        Skeleton(2, ("u", "v"), fib, ()),
+        Skeleton(3, ("v",), loops, ()),
+        Skeleton(1, ("u", "v"), (e("a", 0, "u", "u"), e("b", 0, "u", "v")), ()),
+    ]
+
+
+def _connectivity_graphs():
+    graphs = [load_fixture(name) for name in ("g1", "g2", "g3", "g4")]
+    for seed in range(8):
+        graphs += make_random_skeletons(seed)
+    for s in range(6):
+        # pure cycles are periodic; a chord makes most of them primitive
+        graphs.append(random_1graph(random.Random(s), 2 + s, s % 3))
+    for s in range(3):
+        rng = random.Random(100 + s)
+        graphs.append(combine(random_1graph(rng, 2 + s, 1), random_1graph(rng, 3, s), "product"))
+    return graphs + _missing_a_color()
+
+
+def test_connectivity_matches_its_definition():
+    bounds = {
+        1: [(1,), (2,), (5,), (9,)],
+        2: [(1, 1), (3, 3), (5, 2), (1, 6)],
+        3: [(1, 1, 1), (3, 3, 3), (2, 4, 1)],
+    }
+    for sk in _connectivity_graphs():
+        # the first positive corner vouches for the degrees above it only
+        # when the generators commute, as they do once the squares biject
+        gens = [_generator_matrix(sk, c) for c in range(sk.k)]
+        assert all(_mat_mul(x, y) == _mat_mul(y, x) for x in gens for y in gens)
+        for bound in bounds[sk.k]:
+            cc = classify_connectivity(sk, bound)
+            threshold = _threshold_by_definition(sk, bound)
+            assert cc.threshold == threshold, (sk, bound)
+            assert cc.primitive == (threshold is not None)
+            assert cc.inconclusive == (cc.irreducible and threshold is None)
+
+
+def _reaches_every_pair(sk):
+    """All-pairs reachability: the transitive closure of the edge relation
+    holds every ordered pair, so each is joined by a path of length >= 1."""
+    step = {(e.range, e.source) for e in sk.edges}
+    closure = set(step)
+    while more := {(u, w) for u, v in closure for x, w in step if v == x} - closure:
+        closure |= more
+    return len(closure) == len(sk.vertices) ** 2
+
+
+def test_irreducibility_matches_all_pairs_reachability():
+    graphs = [
+        Skeleton(1, ("v",), (), ()),  # one vertex and no loop
+        # u -> v -> w -> v: nothing enters u, and u lies on no cycle
+        Skeleton(
+            1,
+            ("u", "v", "w"),
+            (
+                ColoredEdge("a", 0, "v", "u"),
+                ColoredEdge("b", 0, "w", "v"),
+                ColoredEdge("c", 0, "v", "w"),
+            ),
+            (),
+        ),
+    ]
+    for s in range(200):
+        rng = random.Random(s)
+        n, k = rng.randint(1, 5), rng.randint(1, 2)
+        vertices = tuple(f"w{i}" for i in range(n))
+        edges = tuple(
+            ColoredEdge(f"e{i}", rng.randrange(k), rng.choice(vertices), rng.choice(vertices))
+            for i in range(rng.randint(0, 3 * n))
+        )
+        graphs.append(Skeleton(k, vertices, edges, ()))
+    verdicts = [_is_irreducible(sk) for sk in graphs]
+    assert verdicts == [_reaches_every_pair(sk) for sk in graphs]
+    assert verdicts[:2] == [False, False] and 40 <= sum(verdicts) <= 160
+
+
+def test_the_spectral_layer_builds_only_the_tables_it_needs(monkeypatch, g2):
+    tops = []
+    box_table = spectral._box_table
+    monkeypatch.setattr(
+        spectral, "_box_table", lambda sk, top: tops.append(top) or box_table(sk, top)
+    )
+    for sk in (g2, R40, P36):
+        perron_data(sk)
+    assert tops == []
+    classify_connectivity(g2, (60,))
+    assert tops == [(2,)]
+    # a full box of 141^3 matrices once ran out of memory here
+    rand4 = make_random_skeletons(7)[4]
+    assert run("spectral", document(rand4), {"bound": 140}).exit_code == 0
+
+
 # ---------------------------------------------------------------------------
 # Perron data
 # ---------------------------------------------------------------------------
@@ -180,7 +307,7 @@ def test_perron_g3(g3):
 
 
 def test_perron_two_cycle_without_positive_power(two_cycle):
-    # irreducible but not primitive: the escalating sum still turns positive
+    # irreducible but not primitive: I + M is primitive all the same
     pd = perron_data(two_cycle)
     assert abs(pd.t[0] - 1.0) <= 1e-9
 
@@ -203,10 +330,10 @@ def test_perron_eigen_equations(test_graphs):
 
 
 def test_perron_converges_where_the_positive_combination_is_large():
-    # r40's positive combination has spectral radius ~2.4e4, where an
-    # absolute residual of 1e-12 lies below float64 resolution; the
-    # residual is relative to the eigenvalue, so the iteration stops
-    sk = random_1graph(random.Random(40), 40, 40)
+    # r40 once stalled a power iteration on a positive combination of
+    # spectral radius ~2.4e4, where an absolute residual of 1e-12 lies below
+    # float64 resolution
+    sk = R40
     pd = perron_data(sk)
     m = vertex_matrix(sk, (1,))
     rho = max(abs(np.linalg.eigvals([[m.entry(u, v) for v in sk.vertices] for u in sk.vertices])))
@@ -238,36 +365,36 @@ def _numpy_perron(sk):
 @pytest.mark.parametrize(
     "sk",
     [
-        random_1graph(random.Random(40), 40, 40),
-        combine(
-            random_1graph(random.Random(1), 6, 4), random_1graph(random.Random(2), 6, 4), "product"
-        ),
+        load_fixture("g2"),
+        R40,
+        P36,
         combine(
             random_1graph(random.Random(3), 4, 3), random_1graph(random.Random(4), 5, 2), "product"
         ),
+        *(random_1graph(random.Random(s), 24, 48) for s in range(5)),
     ],
-    ids=["r40", "p36", "product20"],
+    ids=["g2", "r40", "p36", "product20", *(f"r24-{s}" for s in range(5))],
 )
 def test_perron_data_matches_numpy_eigendata(sk):
     pd = perron_data(sk)
     t, a, b = _numpy_perron(sk)
-    assert all(abs(x - y) <= 1e-9 * y for x, y in zip(pd.t, t, strict=True))
+    assert all(abs(x - y) <= 1e-12 * y for x, y in zip(pd.t, t, strict=True))
     for v in sk.vertices:
-        assert abs(pd.a[v] - a[v]) <= 1e-9
-        assert abs(pd.b[v] - b[v]) <= 1e-9
+        assert abs(pd.a[v] - a[v]) <= 1e-12
+        assert abs(pd.b[v] - b[v]) <= 1e-12
 
 
 def test_power_iteration_raises_when_it_runs_out_of_steps(g2):
-    # g2's positive combination |Lambda^1| + |Lambda^2|, three steps short
-    # of the tolerance
-    m1, m2 = vertex_matrix(g2, (1,)).entries, vertex_matrix(g2, (2,)).entries
-    a = [[float(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
-    assert min(map(min, a)) > 0
-    with pytest.raises(NotConverged, match="did not reach residual 1e-12"):
-        _power_iteration(a, 1e-12, max_iter=3)
-    # with the default budget the same matrix converges, to phi + phi^2
-    vector, residual = _power_iteration(a, 1e-12)
-    assert residual <= 1e-12 * (PHI + PHI**2) * (1 + 1e-9)
+    # row u of g2's I + M sums u and the sources of the edges into u; three
+    # steps stop short of the tolerance
+    idx = {v: i for i, v in enumerate(g2.vertices)}
+    lists = [[idx[u]] + [idx[e.source] for e in g2.edges if e.range == u] for u in g2.vertices]
+    assert sorted(map(len, lists)) == [2, 3]
+    with pytest.raises(NotConverged, match="moved by more than 1e-13 after 3 steps"):
+        _power_iteration(lists, 1e-12, max_iter=3)
+    # with the default budget the same lists converge, to M's Perron vector
+    vector = _power_iteration(lists, 1e-12)
+    assert max(vector) == 1.0
     assert abs(vector[1] / vector[0] - 1 / PHI) <= 1e-12
 
 
