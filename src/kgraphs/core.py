@@ -236,15 +236,18 @@ class Skeleton:
         return out
 
     @cached_property
-    def square_swap(self) -> Mapping[tuple[str, str], tuple[str, str]]:
-        """Every square both ways round: {(f, g): (g', f'), (g', f'): (f, g)}.
+    def square_swap(self) -> Mapping[str, Mapping[str, tuple[str, str]]]:
+        """Every square both ways round, keyed by first edge, then second:
+        {f: {g: (g', f')}, g': {f': (f, g)}}.
 
         A two-edge path of two colors maps to the other path around its unit
         square.  The keys of the two directions never collide, because f
         has the lower color and g' the higher one.
         """
-        out = {r.left: r.right for r in self.squares}
-        out.update((r.right, r.left) for r in self.squares)
+        out: dict[str, dict[str, tuple[str, str]]] = {}
+        for r in self.squares:
+            out.setdefault(r.left[0], {})[r.left[1]] = r.right
+            out.setdefault(r.right[0], {})[r.right[1]] = r.left
         return out
 
     @cached_property
@@ -264,7 +267,7 @@ def _swap(sk: Skeleton, first: str, second: str) -> tuple[str, str]:
     """Rewrite the two-edge path first*second as the other path around its
     square (descending colors to ascending, or back)."""
     try:
-        return sk.square_swap[(first, second)]
+        return sk.square_swap[first][second]
     except KeyError:
         ci, cj = sorted((sk.color_of[first], sk.color_of[second]))
         raise ValidationFailure(
@@ -273,19 +276,22 @@ def _swap(sk: Skeleton, first: str, second: str) -> tuple[str, str]:
 
 
 def _normalize_word(sk: Skeleton, word: Sequence[str]) -> list[str]:
-    """Sort an edge word into color-normal form by square swaps (stable insertion)."""
+    """Sort an edge word into color-normal form by square swaps (stable
+    insertion).  The inserted edge x moves left in a local: each swap of
+    out[i] * x leaves the new x before the new out[i + 1]."""
     colors, swap = sk.color_of, sk.square_swap
     out: list[str] = []
-    for eid in word:
-        out.append(eid)
-        i = len(out) - 1
-        c = colors[eid]
-        while i > 0 and colors[out[i - 1]] > c:
+    for n, x in enumerate(word):
+        out.append(x)
+        c = colors[x]
+        i = n - 1
+        while i >= 0 and colors[out[i]] > c:
             try:
-                out[i - 1], out[i] = swap[out[i - 1], out[i]]
+                x, out[i + 1] = swap[out[i]][x]
             except KeyError:
-                _swap(sk, out[i - 1], out[i])  # raises, naming the missing square
+                _swap(sk, out[i], x)  # raises, naming the missing square
             i -= 1
+        out[i + 1] = x
     return out
 
 
@@ -392,16 +398,23 @@ def make_morphism(sk: Skeleton, edge_ids: Sequence[str], vertex: Vertex | None =
         if vertex is None:
             raise DegreeMismatch("empty word needs an explicit vertex for the identity")
         return identity(sk, vertex)
+    # one pass: an unknown id anywhere outranks a break in the chain
+    edges = sk.edge_map
+    degree = [0] * sk.k
+    broken = prev = None
     for eid in edge_ids:
-        if eid not in sk.edge_map:
+        e = edges.get(eid)
+        if e is None:
             raise MalformedSkeleton(f"unknown edge id {eid!r}")
-    for a, b in zip(edge_ids, edge_ids[1:]):
-        if sk.edge_map[a].source != sk.edge_map[b].range:
-            raise NotComposable(f"edges {a!r} and {b!r} do not chain (source != range)")
-    word = _normalize_word(sk, list(edge_ids))
-    rng = sk.edge_map[word[0]].range
-    src = sk.edge_map[word[-1]].source
-    return _from_normal_word(sk, word, rng, src)
+        if prev is not None and prev.source != e.range and broken is None:
+            broken = (prev.id, eid)
+        degree[e.color] += 1
+        prev = e
+    if broken is not None:
+        a, b = broken
+        raise NotComposable(f"edges {a!r} and {b!r} do not chain (source != range)")
+    word = _normalize_word(sk, edge_ids)
+    return _morphism(sk, tuple(degree), tuple(word), edges[word[0]].range, edges[word[-1]].source)
 
 
 # -- counting and enumeration ------------------------------------------------
@@ -422,8 +435,34 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """The exact product a b of two matrices of non-negative ints.
+
+    The operand with the narrower entries supplies the scalars, so that
+    the arithmetic stays close to schoolbook's: when a's entries are the
+    wider, a b is computed as the transpose of b^T a^T.
+    """
+    bits = max(map(max, a)).bit_length(), max(map(max, b)).bit_length()
+    if bits[0] > bits[1]:
+        return tuple(zip(*_packed_product(tuple(zip(*b)), tuple(zip(*a)), sum(bits))))
+    return _packed_product(a, b, sum(bits))
+
+
+def _packed_product(a: IntMatrix, b: IntMatrix, bits: int) -> IntMatrix:
+    """a b, with each row of b packed into one int: its entries in
+    little-endian slots of w bytes, w wide enough for any entry of the
+    product (entry bits of a and b together, plus the bits of the inner
+    dimension).  A row of a b is then one sum of the entries of a row of
+    a times packed rows, unpacked once: n^2 big-int products, not n^3."""
+    w = (bits + len(b).bit_length() + 7) // 8
+    packed = [
+        int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little") for row in b
+    ]
+    span = w * len(b[0])
+    out = []
+    for row in a:
+        data = sum(map(mul, row, packed)).to_bytes(span, "little")
+        out.append(tuple([int.from_bytes(data[i : i + w], "little") for i in range(0, span, w)]))
+    return tuple(out)
 
 
 def _identity_rows(n: int) -> IntMatrix:
@@ -557,7 +596,7 @@ def enumerate_morphisms(
             for word, v, at in paths
             for e in sk.edges_with_range(at, c)
         ]
-    return [_from_normal_word(sk, word, v, src) for word, v, src in paths]
+    return [_morphism(sk, n, word, v, src) for word, v, src in paths]
 
 
 def _pick(items: Sequence, weights: Sequence, x):
@@ -586,7 +625,7 @@ def sample_morphism(sk: Skeleton, n: Degree, rng) -> Morphism:
         e = _pick(choices, counts, rng.randrange(sum(counts)))
         word.append(e.id)
         at = e.source
-    return _from_normal_word(sk, word, start, at)
+    return _morphism(sk, n, tuple(word), start, at)
 
 
 # -- composition and factorisation -------------------------------------------
@@ -603,18 +642,26 @@ def compose(mu: Morphism, nu: Morphism) -> Morphism:
     return _morphism(sk, dv.add(mu.degree, nu.degree), tuple(word), mu.range, nu.source)
 
 
-def _peel_color(sk: Skeleton, word: list[str], c: int) -> str:
-    # word is normal; bubble its first color-c edge to the front and pop it
-    colors, swap = sk.color_of, sk.square_swap
-    p = 0
-    while colors[word[p]] != c:
-        p += 1
-    for i in range(p, 0, -1):
-        try:
-            word[i - 1], word[i] = swap[word[i - 1], word[i]]
-        except KeyError:
-            _swap(sk, word[i - 1], word[i])  # raises, naming the missing square
-    return word.pop(0)
+def _peel_head(sk: Skeleton, word: list[str], degree: Degree, m: Degree) -> list[str]:
+    """Pop the head of degree m off ``word``, a normal word of ``degree``,
+    in place, and return it.  Per color c, each of the first m_c color-c
+    edges, which sits behind the lower-color edges left, is popped and
+    walked to the front; the words stay normal."""
+    swap = sk.square_swap
+    head: list[str] = []
+    left = list(degree)
+    for c, n in enumerate(m):
+        p = sum(left[:c])
+        for _ in range(n):
+            x = word.pop(p)
+            for i in range(p - 1, -1, -1):
+                try:
+                    x, word[i] = swap[word[i]][x]
+                except KeyError:
+                    _swap(sk, word[i], x)  # raises, naming the missing square
+            head.append(x)
+        left[c] -= n
+    return head
 
 
 def _split(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism]:
@@ -622,7 +669,7 @@ def _split(lam: Morphism, n1: Degree, n2: Degree) -> tuple[Morphism, Morphism]:
     with n1 + n2 = d(lam)."""
     sk = lam.skeleton
     word = list(lam.word)
-    head = [_peel_color(sk, word, c) for c, _ in _peel(n1)]
+    head = _peel_head(sk, word, lam.degree, n1)
     mid = lam.range if not head else sk.edge_map[head[-1]].source
     return (
         _morphism(sk, n1, tuple(head), lam.range, mid),
@@ -650,11 +697,11 @@ def subblock(lam: Morphism, a: Degree, b: Degree) -> Morphism:
     # peeling the head of degree a leaves the normal word of lam(a, d(lam)),
     # whose head of degree b - a is lam(a, b)
     word = list(lam.word)
-    head = [_peel_color(sk, word, c) for c, _ in _peel(a)]
+    head = _peel_head(sk, word, lam.degree, a)
     rng = sk.edge_map[head[-1]].source if head else lam.range
     if b == lam.degree:
         return _morphism(sk, dv.sub(b, a), tuple(word), rng, lam.source)
-    mid = [_peel_color(sk, word, c) for c, _ in _peel(dv.sub(b, a))]
+    mid = _peel_head(sk, word, dv.sub(lam.degree, a), dv.sub(b, a))
     src = sk.edge_map[mid[-1]].source if mid else rng
     return _morphism(sk, dv.sub(b, a), tuple(mid), rng, src)
 
@@ -857,7 +904,7 @@ class GridShape:
         swap = sk.square_swap
         try:
             for a, b, x, y in steps:
-                cells[x], cells[y] = swap[cells[a], cells[b]]
+                cells[x], cells[y] = swap[cells[a]][cells[b]]
         except KeyError:
             _swap(sk, cells[a], cells[b])  # raises, naming the missing square
         return cells
@@ -1068,8 +1115,8 @@ def opposite_morphism(mu: Morphism) -> Morphism:
     op = opposite_graph(mu.skeleton)
     if mu.is_identity:
         return identity(op, mu.range)
-    word = _normalize_word(op, list(reversed(mu.word)))
-    return _from_normal_word(op, word, mu.source, mu.range)
+    word = _normalize_word(op, mu.word[::-1])
+    return _morphism(op, mu.degree, tuple(word), mu.source, mu.range)
 
 
 def _pair_vertex(u: Vertex, w: Vertex) -> Vertex:

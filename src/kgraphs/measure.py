@@ -39,7 +39,7 @@ class CylinderSet:
         return dv.add(self.offset, self.lam.degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureValue:
     """A measure evaluation together with the formula that produced it.
 
@@ -63,20 +63,43 @@ class MeasureValue:
         return out
 
 
+_new_value = object.__new__
+_set_value = MeasureValue.value.__set__
+_set_t_exponent = MeasureValue.t_exponent.__set__
+_set_a_vertex = MeasureValue.a_vertex.__set__
+_set_a_value = MeasureValue.a_value.__set__
+_set_b_vertex = MeasureValue.b_vertex.__set__
+_set_b_value = MeasureValue.b_value.__set__
+
+
+def _measure_value(
+    value: float,
+    exp: Degree,
+    a_vertex: str | None,
+    a_value: float | None,
+    b_vertex: str | None,
+    b_value: float | None,
+) -> MeasureValue:
+    """The MeasureValue with these fields, filled slot by slot: the same
+    object ``MeasureValue(...)`` builds, without its frozen-dataclass
+    ``__init__``."""
+    m = _new_value(MeasureValue)
+    _set_value(m, value)
+    _set_t_exponent(m, exp)
+    _set_a_vertex(m, a_vertex)
+    _set_a_value(m, a_value)
+    _set_b_vertex(m, b_vertex)
+    _set_b_value(m, b_value)
+    return m
+
+
 def parry_measure(pd: PerronData, c: CylinderSet) -> MeasureValue:
     """mu(Z(lam, n)); the offset never enters (shift invariance)."""
     pd.require_same_graph(c.lam)
     lam = c.lam
     exp = dv.neg(lam.degree)
     av, bv = pd.a[lam.range], pd.b[lam.source]
-    return MeasureValue(
-        value=pd.t_power(exp) * av * bv,
-        t_exponent=exp,
-        a_vertex=lam.range,
-        a_value=av,
-        b_vertex=lam.source,
-        b_value=bv,
-    )
+    return _measure_value(pd.t_power(exp) * av * bv, exp, lam.range, av, lam.source, bv)
 
 
 def conditional_measure(pd: PerronData, side: str, lam: Morphism) -> MeasureValue:
@@ -89,14 +112,10 @@ def conditional_measure(pd: PerronData, side: str, lam: Morphism) -> MeasureValu
     exp = dv.neg(lam.degree)
     if side == "stable":
         av = pd.a[lam.range]
-        return MeasureValue(
-            value=pd.t_power(exp) * av, t_exponent=exp, a_vertex=lam.range, a_value=av
-        )
+        return _measure_value(pd.t_power(exp) * av, exp, lam.range, av, None, None)
     if side == "unstable":
         bv = pd.b[lam.source]
-        return MeasureValue(
-            value=pd.t_power(exp) * bv, t_exponent=exp, b_vertex=lam.source, b_value=bv
-        )
+        return _measure_value(pd.t_power(exp) * bv, exp, None, None, lam.source, bv)
     raise ValueError(f"side must be 'stable' or 'unstable', got {side!r}")
 
 

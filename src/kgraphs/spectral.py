@@ -27,6 +27,7 @@ from .core import (
     Skeleton,
     Vertex,
     _box_table,
+    _generator_matrix,
     _identity_rows,
     _step_rows,
     _vm,
@@ -36,7 +37,13 @@ from .core import (
     unit_grid,
 )
 from .degrees import Degree
-from .errors import DegreeMismatch, GraphMismatch, NotConverged, NotIrreducible
+from .errors import (
+    DegreeMismatch,
+    GraphMismatch,
+    NotConverged,
+    NotIrreducible,
+    ValidationFailure,
+)
 
 
 @dataclass(frozen=True)
@@ -117,15 +124,24 @@ def classify_connectivity(sk: Skeleton, search_bound: Degree) -> ConnectivityCla
 
     The corners meet(c e, bound), c = 1, 2, ..., are stepped one sparse
     generator step per color.  A positive corner has every generator as a
-    factor, so (the generators commuting once the squares biject) none has
-    a zero row or column, and every degree above a positive one is
-    positive: the qualifying degrees are the positive ones.  None has a
-    norm below the first positive corner's c, whose corner would be
-    positive, so one table of that corner's box holds the threshold.
+    factor, so (the generators commuting) none has a zero row or column,
+    and every degree above a positive one is positive: the qualifying
+    degrees are the positive ones.  None has a norm below the first
+    positive corner's c, whose corner would be positive, so one table of
+    that corner's box holds the threshold.
+
+    The generators commute once the squares biject, which
+    ``validate_skeleton`` checks; an unvalidated skeleton whose generators
+    do not commute raises ``ValidationFailure``.
     """
     bound = dv.as_degree(search_bound, sk.k)
     if not dv.leq(dv.ones(sk.k), bound):
         raise DegreeMismatch(f"search bound {bound} must be >= e")
+    gens = [_generator_matrix(sk, c) for c in range(sk.k)]
+    for c in range(sk.k):
+        for d in range(c + 1, sk.k):
+            if _step_rows(sk, c, gens[d]) != _step_rows(sk, d, gens[c]):
+                raise ValidationFailure(f"generator matrices M_{c} and M_{d} do not commute")
     irreducible = _is_irreducible(sk)
     threshold = None
     rows = _identity_rows(len(sk.vertices))
@@ -172,11 +188,10 @@ class PerronData:
     tol: float
 
     def t_power(self, p: Degree) -> float:
-        """t^p for p in Z^k."""
-        out = 1.0
-        for ti, pi in zip(self.t, p, strict=True):
-            out *= ti**pi
-        return out
+        """t^p for p in Z^k, multiplied in color order."""
+        if len(p) != len(self.t):
+            raise DegreeMismatch(f"degree {tuple(p)} does not have rank {len(self.t)}")
+        return math.prod(map(pow, self.t, p))
 
     def require_same_graph(self, m: Morphism) -> None:
         if m.skeleton != self.skeleton:

@@ -16,6 +16,15 @@ def load_fixture(name: str) -> Skeleton:
     return parse_spec((FIXTURES / f"{name}.json").read_text())
 
 
+def schoolbook_product(a, b):
+    """a b by the definition, entry by entry: the tests' reference for the
+    library's matrix products."""
+    n, m = len(b), len(b[0])
+    return tuple(
+        tuple(sum(row[i] * b[i][j] for i in range(n)) for j in range(m)) for row in a
+    )
+
+
 def golden_report(name: str, command: str) -> str:
     """The rendered report of `command` on fixture `name` with the default
     config, as checked in under tests/golden/."""

@@ -38,7 +38,7 @@ from kgraphs.spectral import (
     vertex_matrix,
 )
 
-from conftest import FIXTURES, golden_report
+from conftest import FIXTURES, golden_report, schoolbook_product
 
 PHI = 1.618033988749895
 
@@ -75,14 +75,12 @@ def test_criterion_01_factorization(test_graphs):
 
 def test_criterion_02_semigroup(test_graphs):
     def body():
-        from kgraphs.core import _mat_mul
-
         for sk in test_graphs:
             three = dv.scaled(3, sk.k)
             mats = {p: vertex_matrix(sk, p).entries for p in dv.box(dv.zero(sk.k), three)}
             for p in dv.box(dv.zero(sk.k), three):
                 for q in dv.box(dv.zero(sk.k), three):
-                    assert vertex_matrix(sk, dv.add(p, q)).entries == _mat_mul(
+                    assert vertex_matrix(sk, dv.add(p, q)).entries == schoolbook_product(
                         mats[p], mats[q]
                     )
 

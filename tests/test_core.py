@@ -14,6 +14,7 @@ from kgraphs.core import (
     Skeleton,
     SquareRule,
     _morphism,
+    _normalize_word,
     combine,
     compose,
     count_morphisms,
@@ -26,6 +27,7 @@ from kgraphs.core import (
     opposite_morphism,
     sample_morphism,
     subblock,
+    unit_grid,
     validate_skeleton,
 )
 from kgraphs.errors import (
@@ -344,23 +346,70 @@ def test_make_morphism_errors(g1, g2):
 
 def test_rewriting_names_a_missing_square(g3):
     # g3 without its square b2*r1 = r1*b2: each rewrite that needs it,
-    # either way round, raises naming the pair it could not swap
-    squares = tuple(r for r in g3.squares if r.left != ("b2", "r1"))
-    sk = Skeleton(g3.k, g3.vertices, g3.edges, squares)
+    # either way round, raises naming the pair it could not swap.  In the
+    # first skeleton b2 and r1 keep their other squares, so the table lacks
+    # the second edge of the pair; in the second they lie on no square at
+    # all, so it lacks the first edge
+    inner = tuple(r for r in g3.squares if r.left != ("b2", "r1"))
+    outer = tuple(r for r in g3.squares if "b2" not in r.left and "r1" not in r.left)
 
     def missing(pair):
         return pytest.raises(
             ValidationFailure, match=re.escape(f"square table (0,1) has no entry for pair {pair}")
         )
 
-    with missing(("r1", "b2")):
-        make_morphism(sk, ["r1", "b2"])
-    with missing(("r1", "b2")):
-        compose(make_morphism(sk, ["r1"]), make_morphism(sk, ["b2"]))
-    lam = make_morphism(sk, ["b2", "r1"])  # already in normal form
-    with missing(("b2", "r1")):
-        factorize(lam, (0, 1), (1, 0))
-    assert factorize(lam, (1, 0), (0, 1)) == (make_morphism(sk, ["b2"]), make_morphism(sk, ["r1"]))
+    for squares, listed in [(inner, True), (outer, False)]:
+        sk = Skeleton(g3.k, g3.vertices, g3.edges, squares)
+        assert ("b2" in sk.square_swap) == ("r1" in sk.square_swap) == listed
+        with missing(("r1", "b2")):
+            make_morphism(sk, ["r1", "b2"])
+        with missing(("r1", "b2")):
+            compose(make_morphism(sk, ["r1"]), make_morphism(sk, ["b2"]))
+        lam = make_morphism(sk, ["b2", "r1"])  # already in normal form
+        with missing(("b2", "r1")):
+            factorize(lam, (0, 1), (1, 0))
+        with missing(("b2", "r1")):
+            subblock(lam, (0, 1), (1, 1))
+        with missing(("b2", "r1")):
+            unit_grid(lam)
+        b2, r1 = make_morphism(sk, ["b2"]), make_morphism(sk, ["r1"])
+        assert factorize(lam, (1, 0), (0, 1)) == (b2, r1)
+        assert subblock(lam, (1, 0), (1, 1)) == r1
+
+
+class _CountingRow(dict):
+    """A row of a square table that records every lookup made in it."""
+
+    def __init__(self, row, lookups):
+        super().__init__(row)
+        self.lookups = lookups
+
+    def __getitem__(self, key):
+        self.lookups.append(key)
+        return super().__getitem__(key)
+
+
+def test_normalizing_makes_one_square_lookup_per_color_inversion(g3, random_skeletons):
+    # stable insertion swaps each pair of edges out of color order once,
+    # and each swap reads the nested table once
+    rng = random.Random(11)
+    for base in [g3, *(sk for sk in random_skeletons if sk.k > 1)]:
+        sk = Skeleton(base.k, base.vertices, base.edges, base.squares)
+        lookups = []
+        sk.__dict__["square_swap"] = {
+            f: _CountingRow(row, lookups) for f, row in sk.square_swap.items()
+        }
+        for length in (0, 1, 2, 5, 12, 30):
+            for v in sk.vertices:
+                word = _walk(sk, v, length, rng)
+                colors = [sk.color_of[eid] for eid in word]
+                inversions = sum(
+                    ci > cj for i, ci in enumerate(colors) for cj in colors[i + 1 :]
+                )
+                lookups.clear()
+                out = _normalize_word(sk, word)
+                assert len(lookups) == inversions, (word, lookups)
+                assert sorted(colors) == [sk.color_of[eid] for eid in out]
 
 
 def test_sample_morphism_uniform(g1):

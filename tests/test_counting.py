@@ -30,7 +30,7 @@ from kgraphs.measure import base_measure, haar_weight
 from kgraphs.relations import RelationQuery, stable_equiv, unstable_equiv
 from kgraphs.spectral import af_multiplicities, classify_connectivity, perron_data, vertex_matrix
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, schoolbook_product
 from randgraphs import random_1graph, random_flip_2graph
 
 
@@ -143,7 +143,7 @@ def _dense_product(sk, p):
     out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for c, pc in enumerate(p):
         for _ in range(pc):
-            out = _mat_mul(out, _generator_matrix(sk, c))
+            out = schoolbook_product(out, _generator_matrix(sk, c))
     return out
 
 
@@ -158,13 +158,42 @@ def test_binary_powers_box_table_and_dense_products_agree(fixture_graphs, random
     flip = random_flip_2graph(random.Random(3), 3, 2)
     odd = _non_commuting()
     m0, m1 = _generator_matrix(odd, 0), _generator_matrix(odd, 1)
-    assert _mat_mul(m0, m1) != _mat_mul(m1, m0)
+    assert schoolbook_product(m0, m1) != schoolbook_product(m1, m0)
     for sk in [*fixture_graphs.values(), rank3, flip, odd]:
         top = dv.scaled(4, sk.k)
         table = _box_table(sk, top)
         assert list(table) == list(dv.box(dv.zero(sk.k), top))
         for p, entries in table.items():
             assert _vm(sk, p) == entries == _dense_product(sk, p), (sk.k, p)
+
+
+def _random_matrix(rng, n, bits):
+    """An n x n matrix of entries in [0, 2^bits], with one entry at the top
+    of that range and, for n > 1, one zero row."""
+    rows = [[rng.randint(0, 2**bits) for _ in range(n)] for _ in range(n)]
+    rows[rng.randrange(n)][rng.randrange(n)] = 2**bits
+    if n > 1:
+        rows[rng.randrange(n)] = [0] * n
+    return tuple(map(tuple, rows))
+
+
+def test_mat_mul_matches_the_schoolbook_product():
+    # the packed product takes its scalars from the operand with the
+    # narrower entries: the width pairs put each operand on that side
+    rng = random.Random(18)
+    widths = [(0, 0), (1, 1), (1, 3000), (3000, 1), (64, 65), (65, 64), (3000, 3000)]
+    zero = lambda n: ((0,) * n,) * n  # noqa: E731
+    for n in (1, 2, 3, 7, 24):
+        for bits_a, bits_b in widths:
+            a, b = _random_matrix(rng, n, bits_a), _random_matrix(rng, n, bits_b)
+            assert _mat_mul(a, b) == schoolbook_product(a, b), (n, bits_a, bits_b)
+        a = _random_matrix(rng, n, 3000)
+        assert _mat_mul(a, zero(n)) == _mat_mul(zero(n), a) == zero(n)
+        # every entry at the top of a whole number of bytes: a product
+        # entry then needs the bits of the inner dimension beyond them
+        for bits in (8, 3000):
+            full = ((2**bits - 1,) * n,) * n
+            assert _mat_mul(full, full) == ((n * (2**bits - 1) ** 2,) * n,) * n
 
 
 def test_counting_memo_keeps_only_binary_powers():

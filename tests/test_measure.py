@@ -1,6 +1,7 @@
 """Parry measure, fiber measures, base measure, Haar weights, trace."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -11,6 +12,7 @@ from kgraphs.errors import DegreeMismatch, GraphMismatch, OutOfBox
 from kgraphs.measure import (
     CylinderSet,
     DiagonalFunction,
+    MeasureValue,
     base_measure,
     beta_transport,
     conditional_measure,
@@ -79,6 +81,50 @@ def test_formula_trace_reconstructs(pd2, g2):
         mv = parry_measure(pd2, CylinderSet(lam, (0,)))
         assert mv.reconstruct(pd2) == pytest.approx(mv.value, abs=1e-15)
         assert mv.a_vertex == lam.range and mv.b_vertex == lam.source
+
+
+def test_measure_values_match_the_public_constructor(pd2, pd3, g2, g3):
+    # parry_measure and conditional_measure fill the slots of MeasureValue
+    # directly: each value must be the one MeasureValue(...) builds, and
+    # as frozen
+    for pd, sk in [(pd2, g2), (pd3, g3)]:
+        for lam in enumerate_morphisms(sk, dv.scaled(2, sk.k)):
+            exp = dv.neg(lam.degree)
+            a, b, tp = pd.a[lam.range], pd.b[lam.source], pd.t_power(exp)
+            pairs = [
+                (
+                    parry_measure(pd, CylinderSet(lam, dv.zero(sk.k))),
+                    MeasureValue(tp * a * b, exp, lam.range, a, lam.source, b),
+                ),
+                (
+                    conditional_measure(pd, "stable", lam),
+                    MeasureValue(tp * a, exp, a_vertex=lam.range, a_value=a),
+                ),
+                (
+                    conditional_measure(pd, "unstable", lam),
+                    MeasureValue(tp * b, exp, b_vertex=lam.source, b_value=b),
+                ),
+            ]
+            for built, public in pairs:
+                assert built == public and hash(built) == hash(public)
+                assert repr(built) == repr(public)
+                assert built.reconstruct(pd) == public.reconstruct(pd)
+                with pytest.raises(FrozenInstanceError):
+                    built.value = 0.0
+                with pytest.raises(FrozenInstanceError):
+                    built.b_vertex = "v"
+
+
+def test_t_power_multiplies_in_color_order(pd2, pd3):
+    for pd in (pd2, pd3):
+        for p in dv.box(dv.scaled(-3, pd.skeleton.k), dv.scaled(3, pd.skeleton.k)):
+            out = 1.0
+            for ti, pi in zip(pd.t, p):
+                out *= ti**pi
+            assert pd.t_power(p) == out, p
+    for p in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(DegreeMismatch, match="rank 2"):
+            pd3.t_power(p)
 
 
 def test_expansion_identities(pd1, pd2, pd3, g1, g2, g3):

@@ -13,11 +13,10 @@ from kgraphs.core import (
     ColoredEdge,
     Skeleton,
     _generator_matrix,
-    _mat_mul,
     combine,
     enumerate_morphisms,
 )
-from kgraphs.errors import DegreeMismatch, NotConverged, NotIrreducible
+from kgraphs.errors import DegreeMismatch, NotConverged, NotIrreducible, ValidationFailure
 from kgraphs.spectral import (
     AperiodicWitness,
     GlobalPeriod,
@@ -30,7 +29,7 @@ from kgraphs.spectral import (
     vertex_matrix,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, schoolbook_product
 from randgraphs import document, make_random_skeletons, random_1graph
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -108,14 +107,12 @@ def test_semigroup_and_commutation(test_graphs):
     for sk in test_graphs:
         for p in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
             for q in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
-                assert (
-                    vertex_matrix(sk, dv.add(p, q)).entries
-                    == _mat_mul(vertex_matrix(sk, p).entries, vertex_matrix(sk, q).entries)
-                )
+                a, b = vertex_matrix(sk, p).entries, vertex_matrix(sk, q).entries
+                assert vertex_matrix(sk, dv.add(p, q)).entries == schoolbook_product(a, b)
         for i in range(sk.k):
             for j in range(sk.k):
                 a, b = _generator_matrix(sk, i), _generator_matrix(sk, j)
-                assert _mat_mul(a, b) == _mat_mul(b, a)
+                assert schoolbook_product(a, b) == schoolbook_product(b, a)
 
 
 def test_matrix_rejects_negative_degree(g1):
@@ -214,13 +211,32 @@ def test_connectivity_matches_its_definition():
         # the first positive corner vouches for the degrees above it only
         # when the generators commute, as they do once the squares biject
         gens = [_generator_matrix(sk, c) for c in range(sk.k)]
-        assert all(_mat_mul(x, y) == _mat_mul(y, x) for x in gens for y in gens)
+        assert all(
+            schoolbook_product(x, y) == schoolbook_product(y, x) for x in gens for y in gens
+        )
         for bound in bounds[sk.k]:
             cc = classify_connectivity(sk, bound)
             threshold = _threshold_by_definition(sk, bound)
             assert cc.threshold == threshold, (sk, bound)
             assert cc.primitive == (threshold is not None)
             assert cc.inconclusive == (cc.irreducible and threshold is None)
+
+
+def test_connectivity_refuses_generators_that_do_not_commute():
+    # all four color-0 and color-2 edges on u, v, and one color-1 edge u <- v:
+    # |Lambda^(1,2,1)| = J N^2 J = 0 for the all-ones J and N = M_1, so no
+    # degree qualifies, although the first corner (1,1,1) is positive
+    e = ColoredEdge
+    pairs = [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v")]
+    edges = (
+        *(e(f"a{i}", 0, r, s) for i, (r, s) in enumerate(pairs)),
+        e("n", 1, "u", "v"),
+        *(e(f"c{i}", 2, r, s) for i, (r, s) in enumerate(pairs)),
+    )
+    sk = Skeleton(3, ("u", "v"), edges, ())
+    assert _threshold_by_definition(sk, (2, 2, 2)) is None
+    with pytest.raises(ValidationFailure, match="M_0 and M_1 do not commute"):
+        classify_connectivity(sk, (2, 2, 2))
 
 
 def _reaches_every_pair(sk):
