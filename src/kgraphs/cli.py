@@ -18,13 +18,13 @@ Reports are rendered deterministically: fixed key order, floats at 12
 significant digits, no wall-clock content.  Identical (document, config,
 seed) inputs produce byte-identical reports; timing goes to stderr.
 
-Exit codes: 0 all checks pass, 1 mathematical violation, 2 input error.
+Exit codes: 0 all checks pass, 1 mathematical violation, 2 input error
+(an unreadable or non-UTF-8 spec and an unwritable --out included).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import random
@@ -40,6 +40,7 @@ from .core import (
     SquareRule,
     count_morphisms,
     enumerate_morphisms,
+    sha256,
     validate_skeleton,
 )
 from .dynamics import (
@@ -126,6 +127,7 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
             _expect(isinstance(e[fld], str), f"{where}.{fld}", "must be a string")
         edges.append(ColoredEdge(e["id"], e["color"], e["range"], e["source"]))
     squares = []
+    _expect(isinstance(doc.get("squares", []), list), "squares", "must be an array")
     for i, s in enumerate(doc.get("squares", [])):
         where = f"squares[{i}]"
         _expect(isinstance(s, dict), where, "must be an object")
@@ -146,6 +148,12 @@ def parse_document(text: str) -> tuple[Skeleton, dict]:
             f"{where}.pair",
             "must hold two integers",
         )
+        for fld in ("left", "right"):
+            _expect(
+                all(isinstance(eid, str) for eid in s[fld]),
+                f"{where}.{fld}",
+                "must hold two edge ids",
+            )
         squares.append(
             SquareRule(tuple(s["pair"]), tuple(s["left"]), tuple(s["right"]))
         )
@@ -461,7 +469,9 @@ _DISPATCH = {
 
 def run(command: str, text: str, overrides: dict | None = None) -> Report:
     """Parse the document and dispatch; all failures land in the report."""
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    # surrogatepass: a str holding a lone surrogate still hashes (valid text
+    # gives the same bytes as plain UTF-8)
+    digest = sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
     started = time.perf_counter()
     if command not in COMMANDS:
         return Report(
@@ -518,8 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     args = parser.parse_args(argv)
     try:
-        text = open(args.spec, encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read spec: {exc}", file=sys.stderr)
         return 2
     overrides = {
@@ -532,8 +543,12 @@ def main(argv: list[str] | None = None) -> int:
     report = run(args.command, text, overrides)
     rendered = report.render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

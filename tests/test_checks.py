@@ -565,12 +565,15 @@ def test_partition_tests_match_the_boolean_matrices(n, width, rng, data):
 def test_a_suite_loads_no_module_beyond_those_the_cli_loads():
     # a lazy import inside the battery stays resident for the whole run; the
     # library needs the standard library alone, so numpy (the tests' oracle)
-    # is loaded neither by the import nor by the commands that read floats
+    # is loaded neither by the import nor by the commands that read floats,
+    # and the digests come from the built-in SHA-256 module, not from
+    # hashlib, which would load OpenSSL through _hashlib
     code = f"""
 import sys
 import kgraphs
 import kgraphs.cli
 assert "numpy" not in sys.modules
+assert not {{"hashlib", "_hashlib"}} & set(sys.modules), "hashlib at import"
 before = set(sys.modules)
 from pathlib import Path
 for name in ("g1", "g2", "g3", "g4"):
@@ -578,7 +581,10 @@ for name in ("g1", "g2", "g3", "g4"):
     # exit code 0: no violation, so no failed suite row
     for command in ("spectral", "measure", "suite"):
         assert kgraphs.cli.run(command, text).exit_code == 0, (name, command)
+    # Window.record names its skeleton by Skeleton.digest
+    assert kgraphs.cli.run("dynamics", text).exit_code == 0, name
 assert "numpy" not in sys.modules
+assert not {{"hashlib", "_hashlib"}} & set(sys.modules), "hashlib after the runs"
 print(sorted(set(sys.modules) - before))
 """
     src = str(FIXTURES.parent / "src")

@@ -1,5 +1,7 @@
 """Document parsing, report rendering, exit codes, determinism."""
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphs.cli import main, parse_document, parse_spec, render_value, run
+from kgraphs import core
+from kgraphs.cli import COMMANDS, main, parse_document, parse_spec, render_value, run
 from kgraphs.errors import MalformedSkeleton, ParseError
 
 from conftest import FIXTURES
@@ -236,3 +239,204 @@ def test_spectral_ends_in_an_exit_code_and_reruns_byte_identically(sk, bound):
     report = run("spectral", text, {"bound": bound})
     assert report.exit_code in (0, 1, 2)
     assert report.render() == run("spectral", text, {"bound": bound}).render()
+
+
+# ---------------------------------------------------------------------------
+# digests (hashlib is the oracle; the library uses the built-in module)
+# ---------------------------------------------------------------------------
+
+
+def _reference_skeleton_digest(sk) -> str:
+    # the presentation's pieces fed one by one, as the digest is defined
+    h = hashlib.sha256()
+
+    def put(piece: str) -> None:
+        h.update(piece.encode("utf-8", "surrogatepass"))
+
+    put(str(sk.k))
+    for v in sorted(sk.vertices):
+        put("v" + v)
+    for e in sorted(sk.edges, key=lambda e: e.id):
+        put(f"e{e.id},{e.color},{e.range},{e.source}")
+    for r in sorted(sk.squares, key=lambda r: (r.pair, r.left)):
+        put(f"s{r.pair}{r.left}{r.right}")
+    return h.hexdigest()
+
+
+_NON_ASCII = json.dumps(
+    {
+        "k": 1,
+        "vertices": ["ü", "顶"],
+        "edges": [
+            {"id": "é", "color": 0, "range": "ü", "source": "顶"},
+            {"id": "ß", "color": 0, "range": "顶", "source": "ü"},
+        ],
+    },
+    ensure_ascii=False,
+)
+# ASCII text whose JSON escapes parse to lone surrogates, which the strict
+# UTF-8 codec refuses
+_SURROGATE_IDS = json.dumps(
+    {
+        "k": 1,
+        "vertices": ["\udcff"],
+        "edges": [{"id": "\ud800", "color": 0, "range": "\udcff", "source": "\udcff"}],
+    }
+)
+
+
+def test_digests_equal_sha256_of_the_same_bytes(fixture_graphs):
+    texts = {name: (FIXTURES / f"{name}.json").read_text() for name in fixture_graphs}
+    texts.update(non_ascii=_NON_ASCII, surrogate_ids=_SURROGATE_IDS)
+    for name, text in texts.items():
+        report = run("dynamics", text)
+        assert report.exit_code == 0, (name, report.violations)
+        assert report.digest == hashlib.sha256(text.encode("utf-8")).hexdigest(), name
+        sk = parse_spec(text)
+        assert sk.digest() == _reference_skeleton_digest(sk), name
+    assert parse_spec(_SURROGATE_IDS).vertices == ("\udcff",)
+
+
+def test_text_with_a_lone_surrogate_ends_in_a_structured_report():
+    # a str can hold a lone surrogate that no file read as UTF-8 yields;
+    # it hashes as its "surrogatepass" bytes and the run ends as usual
+    g1_text = (FIXTURES / "g1.json").read_text()
+    cases = {
+        '{"k": 1, "vertices": ["\udcff"], "edges": []}': 1,  # the vertex has no edges
+        g1_text + "\udcff": 2,  # not JSON
+        g1_text.replace('"v"', '"v\udcff"'): 0,
+    }
+    for text, code in cases.items():
+        for command in COMMANDS:
+            report = run(command, text)
+            assert report.exit_code == code, (text, command, report.violations)
+            expected = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+            assert report.digest == expected
+            assert report.render() == run(command, text).render()
+
+
+# ---------------------------------------------------------------------------
+# the CLI boundary: one line on stderr and exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def test_main_exits_2_on_a_spec_that_is_not_utf8(tmp_path, capsys):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(b'{"k": 1, "vertices": ["\xff"], "edges": []}')
+    assert main(["--spec", str(spec), "--command", "validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read spec:") and captured.err.count("\n") == 1
+
+
+def test_main_exits_2_when_the_report_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    args = ["--spec", str(FIXTURES / "g1.json"), "--command", "validate", "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert not out.parent.exists()
+    assert captured.err.startswith("cannot write report:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("squares", [5, True, 1.5, "ab", {"pair": [0, 1]}, None])
+def test_main_exits_2_on_squares_that_are_not_an_array(tmp_path, capsys, squares):
+    doc = json.loads((FIXTURES / "g1.json").read_text())
+    doc["squares"] = squares
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["--spec", str(spec), "--command", "spectral"]) == 2
+    assert '"detail": "squares: must be an array"' in capsys.readouterr().out
+
+
+def test_main_validates_a_rank_1000_document_without_visiting_edgeless_pairs(
+    tmp_path, capsys, monkeypatch
+):
+    visited = []
+    check = core._check_square_pair
+
+    def counting(sk, i, j, out):
+        visited.append((i, j))
+        return check(sk, i, j, out)
+
+    monkeypatch.setattr(core, "_check_square_pair", counting)
+    spec = tmp_path / "rank1000.json"
+    spec.write_text(json.dumps({"k": 1000, "vertices": ["v"], "edges": []}))
+    assert main(["--spec", str(spec), "--command", "validate"]) == 1
+    assert visited == []
+    assert '"code": "standing-assumption-source"' in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: wrongly typed and malformed documents, every command
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 3)
+    | st.floats()
+    | st.sampled_from(["", "v", "e0", "\udcff"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "pair", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _slots(value):
+    """Every (container, key) below value, the value itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _documents(draw):
+    """A small well-typed document (k <= 4, <= 4 edges, <= 3 squares, config
+    values of any JSON type) with up to two fields replaced by any JSON value
+    or dropped; now and then the whole document is any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    k = draw(st.integers(1, 4))
+    vertices = draw(
+        st.lists(st.sampled_from(["v", "w", "é", "\udcff"]), min_size=1, max_size=3, unique=True)
+    )
+    edges = [
+        {
+            "id": f"e{i}",
+            "color": draw(st.integers(0, k - 1)),
+            "range": draw(st.sampled_from(vertices)),
+            "source": draw(st.sampled_from(vertices)),
+        }
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    # square entries name edges of their pair's colors where there are any
+    of_color = [[e["id"] for e in edges if e["color"] == c] or ["e0"] for c in range(k)]
+    squares = []
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from([(0, 1), *itertools.combinations(range(k), 2)]))
+        lower, upper = st.sampled_from(of_color[i]), st.sampled_from(of_color[j % k])
+        left, right = [draw(lower), draw(upper)], [draw(upper), draw(lower)]
+        squares.append({"pair": [i, j], "left": left, "right": right})
+    doc = {"k": k, "vertices": vertices, "edges": edges, "squares": squares}
+    if draw(st.booleans()):
+        keys = st.sampled_from(["tol", "bound", "radius", "metric_r", "seed", "depth"])
+        doc["config"] = draw(st.dictionaries(keys, _JSON, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_documents())
+def test_every_command_ends_in_an_exit_code_on_malformed_documents(doc):
+    text = json.dumps(doc)
+    for command in COMMANDS:
+        report = run(command, text)
+        assert report.exit_code in (0, 1, 2)
+        assert report.render() == run(command, text).render()

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from kgraphs import core
 from kgraphs import degrees as dv
 from kgraphs.core import (
     ColoredEdge,
@@ -134,6 +135,48 @@ def test_triple_product_is_cube_consistent(g1):
     sk = combine(combine(g1, g1, "product"), g1, "product")
     assert sk.k == 3
     assert validate_skeleton(sk).ok
+
+
+def _spread(sk, k, colors):
+    """sk with color c renamed colors[c], as a rank-k skeleton whose other
+    colors have no edges."""
+    edges = tuple(ColoredEdge(e.id, colors[e.color], e.range, e.source) for e in sk.edges)
+    squares = tuple(
+        SquareRule((colors[r.pair[0]], colors[r.pair[1]]), r.left, r.right) for r in sk.squares
+    )
+    return Skeleton(k, sk.vertices, edges, squares)
+
+
+def test_validation_visits_only_the_color_pairs_that_have_edges(monkeypatch):
+    visited = []
+    check = core._check_square_pair
+
+    def counting(sk, i, j, out):
+        visited.append((i, j))
+        return check(sk, i, j, out)
+
+    monkeypatch.setattr(core, "_check_square_pair", counting)
+    bad_cube = _cube_graph({1: 2, 2: 1, 3: 3}, {1: 1, 2: 3, 3: 2})
+    missing = Skeleton(bad_cube.k, bad_cube.vertices, bad_cube.edges, bad_cube.squares[1:])
+    codes = set()
+    for base in (_cube_graph({1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3}), bad_cube, missing):
+        sk = _spread(base, 6, (0, 2, 5))
+        visited.clear()
+        report = validate_skeleton(sk)
+        codes.update(report.codes())
+        assert visited == [(0, 2), (0, 5), (2, 5)]
+        # the same violations, in the same order, as a sweep of every pair
+        # and every triple of the six colors
+        every: list = []
+        square_ok = all([check(sk, i, j, every) for i, j in itertools.combinations(range(6), 2)])
+        if square_ok:
+            core._check_cubes(sk, list(range(6)), every)
+        core._check_standing_assumption(sk, every)
+        assert report.violations == tuple(every)
+    assert {"cube-inconsistent", "square-missing", "standing-assumption-range"} <= codes
+    visited.clear()
+    assert len(validate_skeleton(Skeleton(1000, ("v",), (), ())).violations) == 2000
+    assert visited == []
 
 
 # ---------------------------------------------------------------------------
