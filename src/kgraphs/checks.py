@@ -190,11 +190,20 @@ class Suite:
 
     def shifted(self, n: int, name: str, m: Degree) -> tuple[Window, ...]:
         """sigma^m of each radius-n window that check `name` sweeps: built
-        once per run for the exhaustive sweep, per call for a sample."""
+        once per run for the exhaustive sweep, per call for a sample.
+
+        The list holds one object per distinct window: each shifted window
+        is replaced by the first equal one met, the swept windows first, so
+        sigma^0 is the sweep itself."""
         windows = self.windows(n, name)
+
+        def compute() -> tuple[Window, ...]:
+            seen = dict(zip(windows, windows))
+            return tuple(seen.setdefault(v, v) for v in (shift(w, m) for w in windows))
+
         if self.sweep(n)[1] is None:
-            return tuple(shift(w, m) for w in windows)
-        return self._once(("shifted", n, m), lambda: tuple(shift(w, m) for w in windows))
+            return compute()
+        return self._once(("shifted", n, m), compute)
 
 
 def _check(name: str):

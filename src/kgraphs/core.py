@@ -156,11 +156,11 @@ class Skeleton:
         if len(set(self.vertices)) != len(self.vertices):
             raise MalformedSkeleton("duplicate vertex ids")
         vset = set(self.vertices)
-        seen: set[str] = set()
+        by_id: dict[str, ColoredEdge] = {}
         for e in self.edges:
-            if e.id in seen:
+            if e.id in by_id:
                 raise MalformedSkeleton(f"duplicate edge id {e.id!r}")
-            seen.add(e.id)
+            by_id[e.id] = e
             if not 0 <= e.color < self.k:
                 raise MalformedSkeleton(f"edge {e.id!r} has color {e.color} outside [0, {self.k})")
             for v in (e.range, e.source):
@@ -172,10 +172,10 @@ class Skeleton:
             if not (0 <= i < j < self.k):
                 raise MalformedSkeleton(f"square pair {r.pair} is not an ordered color pair")
             for eid in (*r.left, *r.right):
-                if eid not in seen:
+                if eid not in by_id:
                     raise MalformedSkeleton(f"square {r.pair} references unknown edge {eid!r}")
-            ef, eg = (self._edge_by_id(r.left[0]), self._edge_by_id(r.left[1]))
-            egp, efp = (self._edge_by_id(r.right[0]), self._edge_by_id(r.right[1]))
+            ef, eg = by_id[r.left[0]], by_id[r.left[1]]
+            egp, efp = by_id[r.right[0]], by_id[r.right[1]]
             if (ef.color, eg.color) != (i, j) or (egp.color, efp.color) != (j, i):
                 raise MalformedSkeleton(
                     f"square {r.pair} entry {r.left}->{r.right} has edges of the wrong colors"
@@ -184,12 +184,6 @@ class Skeleton:
             if key in rule_keys:
                 raise MalformedSkeleton(f"square {r.pair} defines {r.left} twice")
             rule_keys.add(key)
-
-    def _edge_by_id(self, eid: str) -> ColoredEdge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise MalformedSkeleton(f"unknown edge id {eid!r}")
 
     # -- derived lookups (built once, after structural checks) --------------
 
@@ -839,8 +833,11 @@ class GridShape:
             key = (corner, N, m, n)
             plan = self._reads.get(key)
         if plan is None:
+            for d in (m, n):
+                if len(d) != len(corner):
+                    raise dv.wrong_length(d, len(corner))
             lo, hi = [], []
-            for c, a, b in zip(corner, m, n, strict=True):
+            for c, a, b in zip(corner, m, n):
                 if not -N <= a <= b <= N:
                     raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {N}")
                 lo.append(c + N + a)

@@ -94,10 +94,29 @@ def box(lo: Degree, hi: Degree) -> Iterator[Degree]:
     return product(*(range(l, h + 1) for l, h in zip(lo, hi)))
 
 
+def wrong_length(d: Degree, k: int) -> ValueError:
+    """The error for a degree vector ``d`` whose length is not the rank k."""
+    return ValueError(f"expected a length-{k} degree vector, got {d!r}")
+
+
+def as_integer(value: int, what: str) -> int:
+    """``value`` as an int: ints and integer types such as numpy's pass,
+    anything else (a float, a numeric string) raises DegreeMismatch."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DegreeMismatch(f"{what} must be an integer, got {value!r}") from None
+
+
 def as_degree(value: Iterable[int], k: int) -> Degree:
-    d = tuple(map(int, value))
+    """``value`` as a length-k degree vector of ints; entries coerce as in
+    ``as_integer``, so a float or a numeric string raises DegreeMismatch."""
+    try:
+        d = tuple(map(operator.index, value))
+    except TypeError:
+        raise DegreeMismatch(f"expected a degree vector of integers, got {value!r}") from None
     if len(d) != k:
-        raise ValueError(f"expected a length-{k} degree vector, got {d!r}")
+        raise wrong_length(d, k)
     return d
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import degrees as dv
 from .core import (
@@ -83,8 +82,12 @@ class Window:
     x(-Ne, 0) and of the future x(0, Ne), concatenated.  The two halves
     determine the window (unique factorisation at Ne).  Shifted and
     restricted windows are views of the grid they were cut from; a bracket
-    is its key alone until a read needs the grid.
+    is its key alone until a read needs the grid.  Windows carry no
+    instance dict: ``__slots__`` holds the fields, and the body and the
+    nested words are filled on first read.
     """
+
+    __slots__ = ("skeleton", "N", "key", "origin", "_grid", "_body", "_nested_words")
 
     def __init__(self, N: int, body: Morphism) -> None:
         """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne."""
@@ -97,7 +100,8 @@ class Window:
         #: first edge of the future word
         self.origin: Vertex = sk.edge_map[self.key[sk.k * N]].range
         self._grid: _Grid | None = (shape, cells, dv.zero(sk.k))
-        self.body = body
+        self._body: Morphism | None = body
+        self._nested_words: tuple[tuple[str, ...], ...] | None = None
 
     @classmethod
     def _of(
@@ -107,6 +111,7 @@ class Window:
         filled from the key when first read."""
         w = cls.__new__(cls)
         w.skeleton, w.N, w.key, w.origin, w._grid = sk, N, key, origin, grid
+        w._body = w._nested_words = None
         return w
 
     def __hash__(self) -> int:
@@ -144,15 +149,17 @@ class Window:
         plan = shape.box(corner, self.N, m, n)
         return plan.read(cells) if plan.point is None else plan.vertex(self.skeleton, cells)
 
-    @cached_property
+    @property
     def _nested(self) -> tuple[tuple[str, ...], ...]:
         """The normal-form words of x(-je, je), j = 1..N, as raw edge ids."""
-        shape, cells, corner = self._cells()
-        N, k = self.N, self.skeleton.k
-        return tuple(
-            shape.box(corner, N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
-            for j in range(1, N + 1)
-        )
+        if self._nested_words is None:
+            shape, cells, corner = self._cells()
+            N, k = self.N, self.skeleton.k
+            self._nested_words = tuple(
+                shape.box(corner, N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
+                for j in range(1, N + 1)
+            )
+        return self._nested_words
 
     def extract(self, m: Degree, n: Degree) -> Morphism:
         """x(m, n) for -Ne <= m <= n <= Ne."""
@@ -175,12 +182,14 @@ class Window:
         sk, size = self.skeleton, self.skeleton.k * self.N
         return _morphism(sk, dv.scaled(self.N, sk.k), self.key[start : start + size], rng, src)
 
-    @cached_property
+    @property
     def body(self) -> Morphism:
         """x(-Ne, Ne) as one morphism of degree 2Ne (set directly on windows
         built from their body)."""
-        ne = dv.scaled(self.N, self.skeleton.k)
-        return self.extract(dv.neg(ne), ne)
+        if self._body is None:
+            ne = dv.scaled(self.N, self.skeleton.k)
+            self._body = self.extract(dv.neg(ne), ne)
+        return self._body
 
     def record(self) -> dict:
         """Serialization: radius, the body word, and the skeleton hash."""
@@ -191,11 +200,18 @@ class Window:
         }
 
 
+def _radius(n: int) -> int:
+    """A window radius: an integer >= 1, else DegreeMismatch."""
+    n = dv.as_integer(n, "radius")
+    if n < 1:
+        raise DegreeMismatch(f"radius must be >= 1, got {n}")
+    return n
+
+
 def make_window(sk: Skeleton, body: Morphism, n: int) -> Window:
     if body.skeleton != sk:
         raise GraphMismatch("body belongs to a different skeleton")
-    if n < 1:
-        raise DegreeMismatch(f"radius must be >= 1, got {n}")
+    n = _radius(n)
     if body.degree != dv.scaled(2 * n, sk.k):
         raise DegreeMismatch(
             f"body degree {body.degree} is not 2Ne = {dv.scaled(2 * n, sk.k)}"
@@ -212,12 +228,14 @@ def window_from_record(sk: Skeleton, rec: dict) -> Window:
 
 def all_windows(sk: Skeleton, n: int, cap: int = 10**6) -> list[Window]:
     """Every radius-n window, i.e. every body in Lambda^{2ne}."""
+    n = _radius(n)
     bodies = enumerate_morphisms(sk, dv.scaled(2 * n, sk.k), cap=cap)
     return [Window(n, b) for b in bodies]
 
 
 def sample_window(sk: Skeleton, n: int, rng) -> Window:
     """Uniform over radius-n windows."""
+    n = _radius(n)
     return Window(n, sample_morphism(sk, dv.scaled(2 * n, sk.k), rng))
 
 
@@ -256,6 +274,7 @@ def shift(w: Window, n: Degree) -> Window:
 
 def restrict(w: Window, n: int) -> Window:
     """The same window at a smaller radius."""
+    n = dv.as_integer(n, "radius")
     if not 1 <= n <= w.N:
         raise OutOfBox(f"cannot restrict radius {w.N} to {n}")
     if n == w.N:

@@ -8,6 +8,7 @@ checks are compared with their W x W matrix definitions, and the pairs of
 windows that the metric checks measure with their all-pairs definitions.
 """
 
+import itertools
 import math
 import os
 import random
@@ -441,6 +442,49 @@ def test_shift_conjugation_catches_a_shift_that_moves_the_wrong_way(g3, monkeypa
     result = checks.check_shift_conjugation(checks.Suite(g3, CFG))
     assert result.status == "fail"
     assert result.detail.startswith("G_(s,")
+
+
+@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("other", ["previous", "fixed"])
+def test_shift_conjugation_catches_a_shift_with_the_right_key_on_another_grid(
+    g3, monkeypatch, other, every
+):
+    # the key is right, so only a read of the grid sees it: sigma^m x sits
+    # on the grid of sigma^m of the previous swept window, or of one fixed
+    # window, on every call or on every second one.  A shifted sweep keeps
+    # the first window met of each value, so a wrong entry that repeats a
+    # right one is not read: a grid taken from the next swept window on
+    # every call is such a case on g3, and no check sees it
+    windows = all_windows(g3, CFG.radius)
+    if other == "previous":
+        source = {w: windows[i - 1] for i, w in enumerate(windows)}
+    else:
+        source = {w: windows[1] if i == 0 else windows[0] for i, w in enumerate(windows)}
+    calls = itertools.count()
+
+    def wrong(w, m):
+        v = shift(w, m)
+        if next(calls) % every:
+            return v
+        u = shift(source[w], m)
+        return Window._of(v.skeleton, v.N, v.key, v.origin, u._cells())
+
+    monkeypatch.setattr(checks, "shift", wrong)
+    assert checks.check_shift_conjugation(checks.Suite(g3, CFG)).status == "fail"
+
+
+def test_a_shifted_sweep_holds_one_object_per_distinct_window(g3):
+    suite = checks.Suite(g3, CFG)
+    windows = suite.windows(CFG.radius, "bracket-axioms")
+    one = dv.ones(g3.k)
+    for m in dv.box(dv.neg(one), one):
+        moved = suite.shifted(CFG.radius, "bracket-axioms", m)
+        assert list(moved) == [shift(w, m) for w in windows]
+        assert len({id(v) for v in moved}) == len(set(moved))
+        if dv.is_zero(m):
+            assert all(v is w for v, w in zip(moved, windows))
+        else:
+            assert len(set(moved)) == 16
 
 
 def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):

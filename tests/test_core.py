@@ -103,6 +103,16 @@ def test_structural_errors_raise_malformed():
         Skeleton(1, ("v",), (ColoredEdge("e", 0, "v", "missing"),), ())
     with pytest.raises(MalformedSkeleton):
         Skeleton(1, ("v",), (ColoredEdge("e", 3, "v", "v"),), ())
+    loops = (ColoredEdge("f", 0, "v", "v"), ColoredEdge("g", 1, "v", "v"))
+    square = SquareRule((0, 1), ("f", "g"), ("g", "f"))
+    for squares, message in [
+        ((SquareRule((1, 0), ("g", "f"), ("f", "g")),), "is not an ordered color pair"),
+        ((SquareRule((0, 1), ("f", "h"), ("g", "f")),), "references unknown edge 'h'"),
+        ((SquareRule((0, 1), ("g", "f"), ("f", "g")),), "has edges of the wrong colors"),
+        ((square, square), r"defines \('f', 'g'\) twice"),
+    ]:
+        with pytest.raises(MalformedSkeleton, match=message):
+            Skeleton(2, ("v",), loops, squares)
 
 
 def _cube_graph(swap02, swap12):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kgraphs import degrees as dv
@@ -33,7 +34,7 @@ from kgraphs.errors import (
     RadiusMismatch,
 )
 from kgraphs.measure import CylinderSet
-from kgraphs.spectral import classify_connectivity, perron_data
+from kgraphs.spectral import classify_connectivity, perron_data, vertex_matrix
 
 
 def w1(g1, word, n=2):
@@ -80,6 +81,57 @@ def test_nested_extractions_agree(g3):
 
         outer = w.extract((-2, -2), (1, 1))
         assert subblock(outer, (1, 1), (3, 3)) == w.extract((-1, -1), (1, 1))
+
+
+def test_windows_views_and_brackets_carry_no_instance_dict(g3):
+    w = all_windows(g3, 2)[0]
+    for v in (w, shift(w, (1, 0)), restrict(w, 1), bracket(w, w)):
+        v.body, v._nested  # fill the lazy slots first
+        assert not hasattr(v, "__dict__")
+
+
+def test_a_degree_of_the_wrong_rank_is_named_on_a_window_read(g3):
+    w = all_windows(g3, 2)[0]
+    for _ in range(2):  # the box is never stored as a plan
+        with pytest.raises(ValueError, match=r"expected a length-2 degree vector, got \(-1,\)"):
+            w.extract((-1,), (0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sk, w: dv.as_degree((1.5, 0), sk.k),
+        lambda sk, w: dv.as_degree(("1", 0), sk.k),
+        lambda sk, w: vertex_matrix(sk, (1.5, 0)),
+        lambda sk, w: shift(w, (1.5, 0)),
+    ],
+    ids=["as_degree", "as_degree-string", "vertex_matrix", "shift"],
+)
+def test_degrees_must_have_integer_entries(g3, call):
+    with pytest.raises(DegreeMismatch, match="expected a degree vector of integers"):
+        call(g3, all_windows(g3, 2)[0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sk, w: make_window(sk, enumerate_morphisms(sk, (3, 3))[0], 1.5),
+        lambda sk, w: all_windows(sk, 1.5),
+        lambda sk, w: sample_window(sk, 1.5, random.Random(0)),
+        lambda sk, w: restrict(w, 1.5),
+    ],
+    ids=["make_window", "all_windows", "sample_window", "restrict"],
+)
+def test_window_radii_must_be_integers(g3, call):
+    with pytest.raises(DegreeMismatch, match="radius must be an integer, got 1.5"):
+        call(g3, all_windows(g3, 2)[0])
+
+
+def test_integer_types_pass_as_degree_entries_and_radii(g3):
+    w = all_windows(g3, 2)[0]
+    assert shift(w, (np.int64(1), np.int32(0))) == shift(w, (1, 0))
+    assert restrict(w, np.int64(1)) == restrict(w, 1)
+    assert dv.as_degree((True, 2), 2) == (1, 2)
 
 
 def test_window_record_roundtrip(g3):
