@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import zlib
 from dataclasses import dataclass
 
 from . import degrees as dv
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     Morphism,
     Skeleton,
     Vertex,
     _box_table,
+    _critical_triples,
     _generator_matrix,
     _mat_mul,
     _swap,
@@ -81,7 +84,6 @@ from .relations import (
 from .spectral import (
     ConnectivityClass,
     PerronData,
-    VertexMatrix,
     af_multiplicities,
     classify_connectivity,
     perron_data,
@@ -89,8 +91,6 @@ from .spectral import (
 )
 
 
-#: the most morphisms of one degree that a check enumerates
-ENUMERATION_CAP = 10**6
 #: exhaustive window sweeps switch to sampling above this many windows
 WINDOW_CAP = 600
 #: windows drawn by a sampled sweep of a 1-graph; halved per extra color
@@ -240,56 +240,47 @@ def _morphisms_upto(sk: Skeleton, top: Degree, cap: int = 10**5) -> list[Morphis
 # ---------------------------------------------------------------------------
 
 
+# The two word-level rows check compose and factorize on the critical pairs
+# of the rewriting only.  A square swap of a descending adjacent pair lowers
+# the color inversions of a word, so rewriting ends.  Swaps that do not
+# overlap commute, and the only overlaps are the critical triples h*g*f of
+# three descending colors, which validate_skeleton resolves both ways (the
+# cube check).  By Newman's lemma (Ann. Math. 43, 1942) each path then has
+# one normal form, hence associativity and, with bijective squares, unique
+# factorisation (Kumjian-Pask, New York J. Math. 6, 2000).
+# normal-form-confluence and window-consistency check that _normalize_word
+# and _peel_head perform those swaps.
+
+
 @_check("factorization-uniqueness")
 def check_factorization_uniqueness(suite: Suite, name: str) -> CheckResult:
+    """factorize undoes compose on every composable pair of edges of two
+    distinct colors, in both color orders."""
     sk = suite.sk
-    two = dv.scaled(2, sk.k)
-    paths = {
-        d: enumerate_morphisms(sk, d, cap=ENUMERATION_CAP) for d in dv.box(dv.zero(sk.k), two)
-    }
-    for d, lams in paths.items():
-        for n1 in dv.box(dv.zero(sk.k), d):
-            n2 = dv.sub(d, n1)
-            hits: dict[Morphism, list[tuple[Morphism, Morphism]]] = {}
-            for p1 in paths[n1]:
-                for p2 in paths[n2]:
-                    if p1.source != p2.range:
-                        continue
-                    hits.setdefault(compose(p1, p2), []).append((p1, p2))
-            for lam in lams:
-                got = hits.get(lam, [])
-                if len(got) != 1:
-                    return CheckResult(
-                        name, "fail", f"{lam!r} splits {len(got)} ways at {n1}+{n2}"
-                    )
-                pair = factorize(lam, n1, n2)
-                if pair != got[0] or compose(*pair) != lam:
+    checked = 0
+    for f in sk.edges:
+        for c in range(sk.k):
+            if c == f.color:
+                continue
+            for g in sk.edges_with_range(f.source, c):
+                pair = make_morphism(sk, [f.id]), make_morphism(sk, [g.id])
+                lam = compose(*pair)
+                if factorize(lam, pair[0].degree, pair[1].degree) != pair:
                     return CheckResult(name, "fail", f"factorize disagrees on {lam!r}")
-    return CheckResult(name, "pass")
+                checked += 1
+    return CheckResult(name, "pass", f"{checked} pairs")
 
 
 @_check("associativity")
 def check_associativity(suite: Suite, name: str) -> CheckResult:
+    """compose is associative on every critical triple h*g*f."""
     sk = suite.sk
-    two = dv.scaled(2, sk.k)
-    paths = {d: enumerate_morphisms(sk, d) for d in dv.box(dv.zero(sk.k), two)}
     checked = 0
-    for d1 in dv.box(dv.zero(sk.k), two):
-        for d2 in dv.box(dv.zero(sk.k), dv.sub(two, d1)):
-            for d3 in dv.box(dv.zero(sk.k), dv.sub(dv.sub(two, d1), d2)):
-                # the inner composites are formed once per pair, not per triple
-                for m2 in paths[d2]:
-                    lefts = [(m1, compose(m1, m2)) for m1 in paths[d1] if m1.source == m2.range]
-                    rights = [(m3, compose(m2, m3)) for m3 in paths[d3] if m2.source == m3.range]
-                    for m1, m12 in lefts:
-                        for m3, m23 in rights:
-                            if compose(m12, m3) != compose(m1, m23):
-                                return CheckResult(
-                                    name,
-                                    "fail",
-                                    f"({m1!r}{m2!r}){m3!r} != {m1!r}({m2!r}{m3!r})",
-                                )
-                            checked += 1
+    for triple in _critical_triples(sk, range(sk.k)):
+        h, g, f = (make_morphism(sk, [e.id]) for e in triple)
+        if compose(compose(h, g), f) != compose(h, compose(g, f)):
+            return CheckResult(name, "fail", f"({h!r}{g!r}){f!r} != {h!r}({g!r}{f!r})")
+        checked += 1
     return CheckResult(name, "pass", f"{checked} triples")
 
 
@@ -392,15 +383,15 @@ def check_eigen_equations(suite: Suite, name: str) -> CheckResult:
     pd = suite.perron
     tol = 10 * cfg.tol
     vs = sk.vertices
+    a, b = [pd.a[v] for v in vs], [pd.b[v] for v in vs]
     for p, entries in _box_table(sk, dv.scaled(3, sk.k)).items():
-        m = VertexMatrix(p, vs, entries)
         tp = pd.t_power(p)
-        for v in vs:
-            left = sum(pd.a[u] * m.entry(u, v) for u in vs)
+        for v, col in zip(vs, zip(*entries)):
+            left = sum(map(operator.mul, a, col))
             if abs(left - tp * pd.a[v]) > tol * max(1.0, tp):
                 return CheckResult(name, "fail", f"left eigen fails at p={p}, v={v}")
-        for u in vs:
-            right = sum(m.entry(u, v) * pd.b[v] for v in vs)
+        for u, row in zip(vs, entries):
+            right = sum(map(operator.mul, row, b))
             if abs(right - tp * pd.b[u]) > tol * max(1.0, tp):
                 return CheckResult(name, "fail", f"right eigen fails at p={p}, u={u}")
     return CheckResult(name, "pass")
@@ -502,11 +493,11 @@ def check_product_decomposition(suite: Suite, name: str) -> CheckResult:
     pd = suite.perron
     two = dv.scaled(2, sk.k)
     total = count_morphisms(sk, two)
-    if total > ENUMERATION_CAP:
+    if total > DEFAULT_ENUMERATION_CAP:
         return CheckResult(name, "skip", f"|Lambda^{two}| = {total} exceeds the enumeration cap")
     stable = dict.fromkeys(sk.vertices, 0.0)
     unstable = dict.fromkeys(sk.vertices, 0.0)
-    for lam in enumerate_morphisms(sk, two, cap=ENUMERATION_CAP):
+    for lam in enumerate_morphisms(sk, two, cap=DEFAULT_ENUMERATION_CAP):
         stable[lam.source] += conditional_measure(pd, "stable", lam).value
         unstable[lam.range] += conditional_measure(pd, "unstable", lam).value
     for v in sk.vertices:

@@ -576,11 +576,6 @@ def _box_table(sk: Skeleton, top: Degree) -> dict[Degree, IntMatrix]:
     return table
 
 
-def count_from(sk: Skeleton, v: Vertex, m: Degree) -> int:
-    """Number of degree-m morphisms with range v.  Exact, arbitrary precision."""
-    return _counts(sk, dv.as_nonneg_degree(m, sk.k))[sk._vertex_index[v]]
-
-
 def count_morphisms(sk: Skeleton, n: Degree) -> int:
     """|Lambda^n|, summed over all range vertices."""
     return sum(_counts(sk, dv.as_nonneg_degree(n, sk.k)))
@@ -1042,23 +1037,32 @@ def _check_square_pair(sk: Skeleton, i: int, j: int, out: list[Violation]) -> bo
     return ok
 
 
-def _check_cubes(sk: Skeleton, colors: list[int], out: list[Violation]) -> None:
-    # resolve each descending 3-color word over `colors` both ways and compare
+def _critical_triples(
+    sk: Skeleton, colors: Sequence[int]
+) -> Iterator[tuple[ColoredEdge, ColoredEdge, ColoredEdge]]:
+    """The composable edge words h*g*f of three descending colors among
+    ``colors``.  They are the overlaps of the square swaps, the only words
+    that two swaps can rewrite in two different ways."""
     for i, j, l in combinations(colors, 3):
         for h in sk.edges_of_color[l]:
             for g in sk.edges_with_range(h.source, j):
                 for f in sk.edges_with_range(g.source, i):
-                    a = _resolve_cube(sk, h.id, g.id, f.id, front_first=False)
-                    b = _resolve_cube(sk, h.id, g.id, f.id, front_first=True)
-                    if a != b:
-                        out.append(
-                            Violation(
-                                "cube-inconsistent",
-                                f"triple ({h.id},{g.id},{f.id}) resolves to "
-                                f"{a} one way and {b} the other",
-                                (h.id, g.id, f.id),
-                            )
-                        )
+                    yield h, g, f
+
+
+def _check_cubes(sk: Skeleton, colors: list[int], out: list[Violation]) -> None:
+    # resolve each critical triple both ways and compare
+    for h, g, f in _critical_triples(sk, colors):
+        a = _resolve_cube(sk, h.id, g.id, f.id, front_first=False)
+        b = _resolve_cube(sk, h.id, g.id, f.id, front_first=True)
+        if a != b:
+            out.append(
+                Violation(
+                    "cube-inconsistent",
+                    f"triple ({h.id},{g.id},{f.id}) resolves to {a} one way and {b} the other",
+                    (h.id, g.id, f.id),
+                )
+            )
 
 
 def _resolve_cube(sk: Skeleton, h: str, g: str, f: str, front_first: bool) -> tuple[str, str, str]:

@@ -163,6 +163,8 @@ class Window:
 
     def extract(self, m: Degree, n: Degree) -> Morphism:
         """x(m, n) for -Ne <= m <= n <= Ne."""
+        k = self.skeleton.k
+        m, n = dv.as_degree(m, k), dv.as_degree(n, k)
         shape, cells, corner = self._cells()
         return shape.box(corner, self.N, m, n).morphism(self.skeleton, cells)
 

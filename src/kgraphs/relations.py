@@ -136,7 +136,3 @@ def semidirect_compose(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElem
     out_n = dv.add(g1.n, g2.n)
     radius = min(x.N, z.N)
     return GroupoidElement((restrict(x, radius), restrict(z, radius)), out_n)
-
-
-def groupoid_unit(x: Window) -> GroupoidElement:
-    return GroupoidElement((x, x), dv.zero(x.skeleton.k))

@@ -296,9 +296,9 @@ def af_multiplicities(sk: Skeleton, m: Degree, n: Degree) -> AFData:
         raise DegreeMismatch("need m >= 0 and n > 0")
     dims = vertex_matrix(sk, m).column_sums()
     mult = vertex_matrix(sk, n)
-    predicted = {
-        v: sum(dims[w] * mult.entry(w, v) for w in sk.vertices) for v in sk.vertices
-    }
+    row = [dims[w] for w in sk.vertices]
+    columns = zip(sk.vertices, zip(*mult.entries))
+    predicted = {v: sum(map(operator.mul, row, col)) for v, col in columns}
     next_dims = vertex_matrix(sk, dv.add(m, n)).column_sums()
     return AFData(
         block_dims=dims,

@@ -39,6 +39,7 @@ from kgraphs.spectral import (
 )
 
 from conftest import FIXTURES, golden_report, schoolbook_product
+from oracle import assert_matches_oracle
 
 PHI = 1.618033988749895
 
@@ -65,8 +66,12 @@ def _irreducible(test_graphs):
 
 
 def test_criterion_01_factorization(test_graphs):
+    # the definition-level oracle: on every degree of [0, 2e], each
+    # composable pair glues to one path, and compose, factorize and
+    # subblock agree with gluing and restriction of grid colourings
     def body():
         for sk in test_graphs:
+            assert_matches_oracle(sk)
             res = check_factorization_uniqueness(Suite(sk, AnalysisConfig()))
             assert res.status == "pass", res.detail
 

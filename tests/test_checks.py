@@ -1,9 +1,10 @@
 """The battery checks fail when what they test is broken.
 
 Each test swaps a wrong variant of a window operation, relation predicate
-or measure evaluator into `kgraphs.checks` and asserts that the check
-reports `fail`, so the class-reduced, hoisted and reduced checks keep the
-power of the loops they replace.  The partition tests behind the relation
+or measure evaluator into `kgraphs.checks`, or of the word rewriting into
+`kgraphs.core`, and asserts that the check reports `fail`, so the
+class-reduced, hoisted and reduced checks keep the power of the loops they
+replace.  The partition tests behind the relation
 checks are compared with their W x W matrix definitions, and the pairs of
 windows that the metric checks measure with their all-pairs definitions.
 """
@@ -22,16 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphs import checks
+from kgraphs import checks, core
 from kgraphs import degrees as dv
 from kgraphs.core import (
     Skeleton,
     SquareRule,
     _from_normal_word,
     _normalize_word,
+    combine,
     compose,
     count_morphisms,
     enumerate_morphisms,
+    make_morphism,
     opposite_graph,
     subblock,
     validate_skeleton,
@@ -51,6 +54,7 @@ from kgraphs.relations import restriction_map, stable_equiv
 from kgraphs.spectral import vertex_matrix
 
 from conftest import FIXTURES, GOLDEN
+from oracle import assert_matches_oracle
 from randgraphs import random_flip_2graph
 from test_counting import _non_commuting
 
@@ -282,6 +286,130 @@ def test_opposite_involution_catches_a_wrong_opposite_square_table(random_skelet
     assert result.detail.startswith("op(op(")
 
 
+# The word-level rows check compose and factorize on the critical pairs
+# only; the faults below are the ones the exhaustive rows caught, and each
+# still fails what remains: the rows, normal-form-confluence,
+# window-consistency or the definition-level oracle.
+
+
+def _skip_last_swap(sk, word):
+    # _normalize_word whose inserted edge stops one swap short of its place
+    colors, swap = sk.color_of, sk.square_swap
+    out = []
+    for n, x in enumerate(word):
+        out.append(x)
+        c = colors[x]
+        i = n - 1
+        while i >= 1 and colors[out[i]] > c and colors[out[i - 1]] > c:
+            x, out[i + 1] = swap[out[i]][x]
+            i -= 1
+        out[i + 1] = x
+    return out
+
+
+def _backwards_lookup(sk, word):
+    # _normalize_word that looks each descending pair up as (lower, higher)
+    colors = sk.color_of
+    out = []
+    for n, x in enumerate(word):
+        out.append(x)
+        c = colors[x]
+        i = n - 1
+        while i >= 0 and colors[out[i]] > c:
+            x, out[i + 1] = core._swap(sk, x, out[i])
+            i -= 1
+        out[i + 1] = x
+    return out
+
+
+def _peel_head_with(walk, pop):
+    # _peel_head that may leave each head edge in the word (pop=False) or
+    # take it without walking it to the front (walk=False)
+    def peel(sk, word, degree, m):
+        swap = sk.square_swap
+        head = []
+        left = list(degree)
+        for c, n in enumerate(m):
+            p = sum(left[:c])
+            for _ in range(n):
+                x = word.pop(p) if pop else word[p]
+                for i in range(p - 1, -1, -1) if walk else ():
+                    x, word[i] = swap[word[i]][x]
+                head.append(x)
+            left[c] -= n
+        return head
+
+    return peel
+
+
+def test_a_normalization_that_skips_the_last_swap_fails_confluence_and_the_oracle(
+    g3, monkeypatch
+):
+    assert checks.check_normal_form_confluence(checks.Suite(g3, CFG)).status == "pass"
+    monkeypatch.setattr(core, "_normalize_word", _skip_last_swap)
+    result = checks.check_normal_form_confluence(checks.Suite(g3, CFG))
+    assert result.status == "fail"
+    assert result.detail.startswith("word ")
+    with pytest.raises(AssertionError):
+        assert_matches_oracle(g3)
+
+
+def test_a_normalization_that_looks_squares_up_backwards_fails_the_word_level_rows(
+    random_skeletons, monkeypatch
+):
+    # on a many-vertex rank-3 graph the reversed pair is mostly not
+    # composable, so the lookup misses; on the one-vertex rank-3 graph it
+    # hits a wrong square
+    sk = combine(random_skeletons[0], random_skeletons[3], "product")
+    rows = (checks.check_factorization_uniqueness, checks.check_associativity)
+    for graph in (sk, random_skeletons[4]):
+        assert [row(checks.Suite(graph, CFG)).status for row in rows] == ["pass", "pass"]
+    monkeypatch.setattr(core, "_normalize_word", _backwards_lookup)
+    for row in rows:
+        result = row(checks.Suite(sk, CFG))
+        assert result.status == "fail"
+        assert result.detail.startswith("ValidationFailure: square table")
+        assert row(checks.Suite(random_skeletons[4], CFG)).status == "fail"
+
+
+@pytest.mark.parametrize(
+    "graph, peel",
+    [
+        ("g3", _peel_head_with(walk=True, pop=False)),
+        ("flip", _peel_head_with(walk=False, pop=True)),
+    ],
+    ids=["head-left-in-the-word", "head-not-walked"],
+)
+def test_a_wrong_peel_head_fails_factorization_uniqueness_and_window_consistency(
+    g3, random_skeletons, graph, peel, monkeypatch
+):
+    # g3's squares swap edges without renaming them, so an unwalked head
+    # edge is right there; the random flip graph's squares rename them
+    sk = {"g3": g3, "flip": random_skeletons[2]}[graph]
+    rows = (checks.check_factorization_uniqueness, checks.check_window_consistency)
+    assert [row(checks.Suite(sk, CFG)).status for row in rows] == ["pass", "pass"]
+    monkeypatch.setattr(core, "_peel_head", peel)
+    assert [row(checks.Suite(sk, CFG)).status for row in rows] == ["fail", "fail"]
+
+
+def test_associativity_catches_a_compose_wrong_on_one_critical_triple(
+    random_skeletons, monkeypatch
+):
+    sk = random_skeletons[4]
+    assert sk.k == 3
+    h, g, f = (make_morphism(sk, [e.id]) for e in next(core._critical_triples(sk, range(3))))
+    gf = compose(g, f)
+    others = [m for m in enumerate_morphisms(sk, (1, 1, 1)) if m != compose(h, gf)]
+
+    def wrong(mu, nu):
+        return others[0] if (mu, nu) == (h, gf) else compose(mu, nu)
+
+    assert checks.check_associativity(checks.Suite(sk, CFG)).status == "pass"
+    monkeypatch.setattr(checks, "compose", wrong)
+    result = checks.check_associativity(checks.Suite(sk, CFG))
+    assert (result.status, result.detail) == ("fail", f"({h!r}{g!r}){f!r} != {h!r}({g!r}{f!r})")
+
+
 def test_run_suite_names_a_raising_check_by_its_report_name(g3, monkeypatch):
     def raises(x, y):
         raise NotBracketable("no bracket today")
@@ -418,7 +546,7 @@ def test_product_decomposition_reaches_degree_2e_on_a_large_flip_graph(monkeypat
     # 49 loop pairs: the box of degree 2e holds 7^4 paths
     sk = random_flip_2graph(random.Random(1), 7, 7)
     assert checks.check_product_decomposition(checks.Suite(sk, CFG)).status == "pass"
-    monkeypatch.setattr(checks, "ENUMERATION_CAP", 7**4 - 1)
+    monkeypatch.setattr(checks, "DEFAULT_ENUMERATION_CAP", 7**4 - 1)
     result = checks.check_product_decomposition(checks.Suite(sk, CFG))
     assert (result.status, result.detail) == (
         "skip",

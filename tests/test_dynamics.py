@@ -104,8 +104,10 @@ def test_a_degree_of_the_wrong_rank_is_named_on_a_window_read(g3):
         lambda sk, w: dv.as_degree(("1", 0), sk.k),
         lambda sk, w: vertex_matrix(sk, (1.5, 0)),
         lambda sk, w: shift(w, (1.5, 0)),
+        lambda sk, w: w.extract((0.5, 0), (1, 1)),
+        lambda sk, w: w.extract((0, 0), (1.0, 1)),
     ],
-    ids=["as_degree", "as_degree-string", "vertex_matrix", "shift"],
+    ids=["as_degree", "as_degree-string", "vertex_matrix", "shift", "extract-m", "extract-n"],
 )
 def test_degrees_must_have_integer_entries(g3, call):
     with pytest.raises(DegreeMismatch, match="expected a degree vector of integers"):

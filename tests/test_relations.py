@@ -17,7 +17,6 @@ from kgraphs.relations import (
     RelationQuery,
     _stably_related_somewhere,
     asymptotic_equiv,
-    groupoid_unit,
     restriction_map,
     semidirect_compose,
     stable_equiv,
@@ -172,7 +171,7 @@ def test_semidirect_unit(g1):
     x = w1(g1, "abab")
     z = w1(g1, "abba")
     g = GroupoidElement((x, z), (1,))
-    out = semidirect_compose(groupoid_unit(x), g)
+    out = semidirect_compose(GroupoidElement((x, x), (0,)), g)
     assert out.n == (1,)
     assert out.pair[0] == x and out.pair[1] == z
 
