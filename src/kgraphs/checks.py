@@ -3,14 +3,16 @@
 Each check exercises one of the documented invariants on a given skeleton
 and reports pass/fail with a counterexample payload.  `run_suite` builds
 one `Suite` per run and passes it to every check; the Suite computes what
-several checks read (the connectivity class, the Perron data, the window
-lists and their shifts) once per run and keeps nothing on the skeleton.
-The relation checks compare the partitions that the stable, unstable and
-asymptotic relations induce on the swept windows, as lists of class
-tokens; the metric checks read rho once per pair of classes of equal
-shifted windows.  Checks that need Perron data skip non-irreducible
-graphs; the mixing check skips graphs that are not primitive within the
-search bound.  Window sweeps beyond ``WINDOW_CAP`` fall back to seeded
+several checks read (the connectivity class, the Perron data, the count
+ratios, the window lists and their shifts) once per run and keeps nothing
+on the skeleton.  The relation checks compare the partitions that the
+stable, unstable and asymptotic relations induce on the swept windows, as
+lists of class tokens; the metric checks read rho once per pair of classes
+of equal shifted windows.  Two measure rows compare the Parry and fiber
+masses with ratios of exact path counts, which tend to them (Parry, Trans.
+AMS 112, 1964).  Checks that need Perron data skip non-irreducible graphs;
+the mixing check skips graphs that are not primitive within the search
+bound.  Window sweeps beyond ``WINDOW_CAP`` fall back to seeded
 exact-uniform sampling, and the seed is part of the report, so runs are
 reproducible.
 """
@@ -34,6 +36,7 @@ from .core import (
     _critical_triples,
     _generator_matrix,
     _mat_mul,
+    _step_vector,
     _swap,
     compose,
     count_morphisms,
@@ -54,6 +57,7 @@ from .dynamics import (
     bracket,
     distance,
     local_product_enum,
+    make_window,
     mixing_lag,
     restrict,
     sample_window,
@@ -129,11 +133,11 @@ class Suite:
     """One run of the battery on one skeleton, handed to every check.
 
     It draws the seeded rng of each check, and it holds what several checks
-    read: the connectivity class, the Perron data and, per radius with at
-    most ``WINDOW_CAP`` windows, the list of all windows and its shifts
-    sigma^m.  Each is computed on first use; a KGraphError raised computing
-    it is kept, and every check that reads it reports that error.  Nothing
-    is kept on the skeleton.
+    read: the connectivity class, the Perron data, the count ratios of the
+    measure rows and, per radius with at most ``WINDOW_CAP`` windows, the
+    list of all windows and its shifts sigma^m.  Each is computed on first
+    use; a KGraphError raised computing it is kept, and every check that
+    reads it reports that error.  Nothing is kept on the skeleton.
     """
 
     def __init__(self, sk: Skeleton, cfg: AnalysisConfig):
@@ -430,6 +434,8 @@ def check_af_consistency(suite: Suite, name: str) -> CheckResult:
 
 _TOL_MEASURE = 1e-9
 _TOL_MASS = 1e-12
+#: the count ratios of the measure rows must settle within this many steps
+RATIO_STEPS = 1024
 
 
 @_check("measure-total-mass")
@@ -445,42 +451,62 @@ def check_total_mass(suite: Suite, name: str) -> CheckResult:
     return CheckResult(name, "pass")
 
 
+def _count_ratios(sk: Skeleton) -> tuple[int, dict | None]:
+    """(N, per (d, r, s) class with d <= 2e the ratios u(r) v(s) / (u M^d v),
+    u(r) / (u M^d)(s) and v(s) / (M^d v)(r) of u = 1^T (I + A)^N, v = (I + A)^N 1,
+    A = sum_c M_c).  I + A is primitive for irreducible A, with A's Perron
+    vectors a and b, and the M_c commute, so a M^d = t^d a and M^d b = t^d b:
+    the ratios tend to t^-d a(r) b(s), t^-d a(r) / a(s) and t^-d b(s) / b(r)
+    (Parry 1964).  N doubles until no first ratio moves by more than
+    _TOL_MEASURE / 10; the dict is None if they still move at RATIO_STEPS."""
+    table = _box_table(sk, dv.scaled(2, sk.k))
+    op, vs = opposite_graph(sk), sk.vertices  # the M_c of op are the transposes
+    u = v = [1] * len(vs)
+    steps, before = 0, {}
+    while steps < RATIO_STEPS:
+        for _ in range(max(steps, 1)):
+            u = [sum(x) for x in zip(u, *(_step_vector(op, c, u) for c in range(sk.k)))]
+            v = [sum(x) for x in zip(v, *(_step_vector(sk, c, v) for c in range(sk.k)))]
+        steps = max(2 * steps, 1)
+        now = {}
+        for d, rows in table.items():
+            um = [sum(map(operator.mul, u, col)) for col in zip(*rows)]
+            total = sum(map(operator.mul, um, v))
+            for r, row in enumerate(rows):
+                mv = sum(map(operator.mul, row, v))
+                for s, count in enumerate(row):
+                    if count:
+                        now[d, vs[r], vs[s]] = (u[r] * v[s] / total, u[r] / um[s], v[s] / mv)
+        if before and all(abs(x[0] - before[c][0]) <= _TOL_MEASURE / 10 for c, x in now.items()):
+            return steps, now
+        before = now
+    return steps, None
+
+
+def _measure_classes(suite: Suite) -> tuple[PerronData, list[tuple[Morphism, tuple]], str]:
+    """The Perron data; the first path of each (d, r, s) class in the pool
+    of degree <= 2e with the count ratios of its class, which a run computes
+    once, or a skip if they still move at RATIO_STEPS; and the detail."""
+    pd = suite.perron
+    steps, ratios = suite._once("ratios", lambda: _count_ratios(suite.sk))
+    if ratios is None:
+        raise _Skip(f"count ratios still move after {steps} steps")
+    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
+    for lam in _morphisms_upto(suite.sk, dv.scaled(2, suite.sk.k), cap=4000):
+        classes.setdefault((lam.degree, lam.range, lam.source), lam)
+    detail = f"{len(classes)} of {len(ratios)} classes, N = {steps}"
+    return pd, [(lam, ratios[c]) for c, lam in classes.items()], detail
+
+
 @_check("measure-expansion")
 def check_expansion(suite: Suite, name: str) -> CheckResult:
-    sk = suite.sk
-    pd = suite.perron
-    lams = _morphisms_upto(sk, dv.scaled(2, sk.k), cap=4000)
-    ext_bound = dv.scaled(2 if sk.k <= 2 else 1, sk.k)
-    exts = {
-        m: enumerate_morphisms(sk, m)
-        for m in dv.box(dv.zero(sk.k), ext_bound)
-        if not dv.is_zero(m)
-    }
-    # mu(Z(lam)) and both sums read only the degree, range and source of lam
-    # and of its composites, which compose keeps (factorization-uniqueness
-    # and associativity check compose): evaluate each (d, r, s) class of lam
-    # once, at its first member
-    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
-    for lam in lams:
-        classes.setdefault((lam.degree, lam.range, lam.source), lam)
-    for lam in classes.values():
-        mu = parry_measure(pd, CylinderSet(lam, dv.zero(sk.k))).value
-        for m, nus in exts.items():
-            right = sum(
-                parry_measure(pd, CylinderSet(compose(lam, nu), dv.zero(sk.k))).value
-                for nu in nus
-                if nu.range == lam.source
-            )
-            left = sum(
-                parry_measure(pd, CylinderSet(compose(nu, lam), dv.neg(m))).value
-                for nu in nus
-                if nu.source == lam.range
-            )
-            if abs(right - mu) > _TOL_MEASURE or abs(left - mu) > _TOL_MEASURE:
-                return CheckResult(
-                    name, "fail", f"expansion of {lam!r} by {m} gives {right}/{left} vs {mu}"
-                )
-    return CheckResult(name, "pass")
+    """mu(Z(lam)) is the limit of the two-sided count ratio of its class."""
+    pd, classes, detail = _measure_classes(suite)
+    for lam, (two, _, _) in classes:
+        mu = parry_measure(pd, CylinderSet(lam, dv.zero(suite.sk.k))).value
+        if abs(mu - two) > _TOL_MEASURE:
+            return CheckResult(name, "fail", f"mu(Z({lam!r})) = {mu} vs count ratio {two}")
+    return CheckResult(name, "pass", detail)
 
 
 @_check("measure-product-decomposition")
@@ -510,41 +536,21 @@ def check_product_decomposition(suite: Suite, name: str) -> CheckResult:
 
 @_check("measure-haar-scaling")
 def check_haar_scaling(suite: Suite, name: str) -> CheckResult:
-    sk = suite.sk
-    pd = suite.perron
-    lams = _morphisms_upto(sk, dv.scaled(3, sk.k), cap=800)
-    if len(lams) > 240:
-        lams = lams[:: len(lams) // 240 + 1]
-    ext_bound = dv.scaled(2 if sk.k <= 2 else 1, sk.k)
-    exts = {
-        p: (pd.t_power(p), enumerate_morphisms(sk, p))
-        for p in dv.box(dv.zero(sk.k), ext_bound)
-        if not dv.is_zero(p)
-    }
-    # mu_s(Z(lam)), haar_weight(p, lam) and mu_s(Z(lam xi)) read only the
-    # degree and range of lam and of lam xi, and xi ranges over the paths
-    # with r(xi) = s(lam); compose keeps d, r and s (factorization-uniqueness
-    # and associativity check compose): evaluate each (d, r, s) class of the
-    # sample once, at its first member
-    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
-    for lam in lams:
-        classes.setdefault((lam.degree, lam.range, lam.source), lam)
-    for lam in classes.values():
-        base = conditional_measure(pd, "stable", lam).value
-        for p in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
-            hw = haar_weight(pd, p, lam)
-            if abs(hw.value - base) > _TOL_MEASURE:
+    """The stable mass of lam over a(s(lam)) and its unstable mass over
+    b(r(lam)) are the limits of the one-sided count ratios of its class,
+    and haar_weight(p, lam) is the stable mass for every p in [0, 2e]."""
+    pd, classes, detail = _measure_classes(suite)
+    for lam, (_, stable, unstable) in classes:
+        mu_s = conditional_measure(pd, "stable", lam).value
+        for p in dv.box(dv.zero(suite.sk.k), dv.scaled(2, suite.sk.k)):
+            if abs(haar_weight(pd, p, lam).value - mu_s) > _TOL_MEASURE:
                 return CheckResult(name, "fail", f"haar weight breaks at {lam!r}, p={p}")
-        for p, (tp, pool) in exts.items():
-            for xi in pool:
-                if xi.range != lam.source:
-                    continue
-                shifted = conditional_measure(pd, "stable", compose(lam, xi)).value
-                if abs(tp * shifted - base) > _TOL_MEASURE:
-                    return CheckResult(
-                        name, "fail", f"t^{p} mu_s(sigma^{p}-shift) breaks at {lam!r}"
-                    )
-    return CheckResult(name, "pass")
+        if abs(mu_s / pd.a[lam.source] - stable) > _TOL_MEASURE:
+            return CheckResult(name, "fail", f"stable mass of {lam!r} vs count ratio {stable}")
+        mu_u = conditional_measure(pd, "unstable", lam).value
+        if abs(mu_u / pd.b[lam.range] - unstable) > _TOL_MEASURE:
+            return CheckResult(name, "fail", f"unstable mass of {lam!r} vs count ratio {unstable}")
+    return CheckResult(name, "pass", detail)
 
 
 @_check("measure-trace-scaling")
@@ -764,7 +770,7 @@ def check_bracket_axioms(suite: Suite, name: str) -> CheckResult:
             futures.setdefault(windows[i].key[half:], windows[i])
         for x in pasts.values():
             for y in futures.values():
-                z, glued = bracket(x, y), Window(n, compose(x.past, y.future))
+                z, glued = bracket(x, y), make_window(sk, compose(x.past, y.future), n)
                 if z != glued or z.body != glued.body:
                     return CheckResult(name, "fail", f"[{x!r},{y!r}] is not the glued window")
     # shift commutation, gated on agreement over the translation strip
@@ -1071,15 +1077,9 @@ def check_opposite_swap(suite: Suite, name: str) -> CheckResult:
 
 @_check("semidirect-laws")
 def check_semidirect_laws(suite: Suite, name: str) -> CheckResult:
-    sk, cfg = suite.sk, suite.cfg
-    k = sk.k
-    rng = suite.rng(name)
-    big = cfg.radius + 2
-    windows = suite.sweep(big)[1]
-    if windows is None:
-        windows = [sample_window(sk, big, rng) for _ in range(24)]
+    k, big = suite.sk.k, suite.cfg.radius + 2
     by_origin: dict[str, list[Window]] = {}
-    for w in windows:
+    for w in suite.windows(big, name):
         by_origin.setdefault(w.origin, []).append(w)
     checked = 0
     corner = dv.scaled(big, k)

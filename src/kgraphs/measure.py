@@ -7,9 +7,11 @@ All evaluators are closed formulas in the Perron data (t, a, b):
 * unstable fiber:      mu_u(Z^+(lam, x))    = t^-d(lam) b(s(lam))
 * base measure:        nu_{s,p}(Z(nu))      = t^-(p + d(nu)) b(s(nu))
 
-The base-measure formula is fixed by the disintegration identity
-integral(h d mu) = integral(mu_{s,p}(h) d nu_{s,p}); the suite checks it
-numerically against partitions of the one-sided path space.
+The suite checks the cylinder and fiber formulas against ratios of exact
+path counts, which tend to them (Parry, Trans. AMS 112, 1964; see
+``checks._count_ratios``), and the base-measure formula, fixed by the
+disintegration identity integral(h d mu) = integral(mu_{s,p}(h) d nu_{s,p}),
+against partitions of the one-sided path space.
 """
 
 from __future__ import annotations
@@ -125,9 +127,7 @@ def base_measure(pd: PerronData, p: Degree, nu: Morphism) -> MeasureValue:
     p = dv.as_nonneg_degree(p, nu.skeleton.k)
     exp = dv.neg(dv.add(p, nu.degree))
     bv = pd.b[nu.source]
-    return MeasureValue(
-        value=pd.t_power(exp) * bv, t_exponent=exp, b_vertex=nu.source, b_value=bv
-    )
+    return _measure_value(pd.t_power(exp) * bv, exp, None, None, nu.source, bv)
 
 
 def haar_weight(pd: PerronData, p: Degree, lam: Morphism) -> MeasureValue:
@@ -140,12 +140,7 @@ def haar_weight(pd: PerronData, p: Degree, lam: Morphism) -> MeasureValue:
     shifted_exp = dv.neg(dv.add(lam.degree, p))
     av = pd.a[lam.range]
     value = pd.t_power(p) * pd.t_power(shifted_exp) * av
-    return MeasureValue(
-        value=value,
-        t_exponent=dv.neg(lam.degree),
-        a_vertex=lam.range,
-        a_value=av,
-    )
+    return _measure_value(value, dv.neg(lam.degree), lam.range, av, None, None)
 
 
 def fiber_masses(pd: PerronData, p: Degree, cyl: CylinderSet) -> dict[Morphism, float]:

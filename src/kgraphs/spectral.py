@@ -15,6 +15,7 @@ no linear-algebra kernel and no Python version.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -54,8 +55,12 @@ class VertexMatrix:
     vertices: tuple[Vertex, ...]
     entries: IntMatrix
 
+    @functools.cached_property
+    def _index(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def entry(self, u: Vertex, v: Vertex) -> int:
-        return self.entries[self.vertices.index(u)][self.vertices.index(v)]
+        return self.entries[self._index[u]][self._index[v]]
 
     def transpose(self) -> "VertexMatrix":
         n = len(self.vertices)

@@ -1,8 +1,8 @@
 """Byte identity of the rendered reports of every command on g1-g4 with the
 default config against tests/golden/.  The suite reports are compared in
 acceptance criterion 11, which runs them anyway.  A change to the report
-schema made on purpose regenerates the files from `run(command,
-text).render()`."""
+schema made on purpose regenerates the files with
+`PYTHONPATH=src python tests/regen_golden.py`."""
 
 import pytest
 

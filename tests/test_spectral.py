@@ -103,6 +103,13 @@ def test_matrix_counts_match_enumeration(test_graphs):
                     assert m.entry(u, v) == by_pair.get((u, v), 0)
 
 
+def test_entry_reads_the_entries_by_vertex_position():
+    m = vertex_matrix(R40, (1,))
+    for i, u in enumerate(R40.vertices):
+        for j, v in enumerate(R40.vertices):
+            assert m.entry(u, v) == m.entries[i][j]
+
+
 def test_semigroup_and_commutation(test_graphs):
     for sk in test_graphs:
         for p in dv.box(dv.zero(sk.k), dv.ones(sk.k)):
