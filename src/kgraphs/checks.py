@@ -7,8 +7,13 @@ several checks read (the connectivity class, the Perron data, the count
 ratios, the window lists and their shifts) once per run and keeps nothing
 on the skeleton.  The relation checks compare the partitions that the
 stable, unstable and asymptotic relations induce on the swept windows, as
-lists of class tokens; the metric checks read rho once per pair of classes
-of equal shifted windows.  Two measure rows compare the Parry and fiber
+lists of class tokens read through the predicates' own boxes
+(``relations._stable_classes`` and ``_unstable_classes``): each relation
+is defined once, and the rows compare its partitions with other readings
+(pi, ``extract``, the opposite windows) and, on an exhaustive sweep, the
+stable class sizes with exact path counts.  The battery reads no grid
+itself.  The metric checks read rho once per pair of classes of equal
+shifted windows.  Two measure rows compare the Parry and fiber
 masses with ratios of exact path counts, which tend to them (Parry, Trans.
 AMS 112, 1964).  Checks that need Perron data skip non-irreducible graphs;
 the mixing check skips graphs that are not primitive within the search
@@ -24,6 +29,7 @@ import itertools
 import operator
 import random
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 from . import degrees as dv
@@ -53,6 +59,7 @@ from .degrees import Degree
 from .dynamics import (
     MetricParams,
     Window,
+    _block_tokens,
     all_windows,
     bracket,
     distance,
@@ -77,12 +84,10 @@ from .measure import (
 )
 from .relations import (
     GroupoidElement,
-    RelationQuery,
-    asymptotic_equiv,
+    _stable_classes,
+    _unstable_classes,
     restriction_map,
     semidirect_compose,
-    stable_equiv,
-    unstable_equiv,
     window_op,
 )
 from .spectral import (
@@ -880,26 +885,6 @@ def _class_distances(windows: list[Window], params: MetricParams):
     return tokens, rho
 
 
-def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> list[int]:
-    """Intern x(m, n) per window by its raw read, as ``Window._read`` reads
-    it: equal tokens iff equal blocks.  The box's plan is looked up once per
-    grid layout (shape, corner, N)."""
-    reads: dict = {}
-    intern: dict = {}
-    out = []
-    for w in windows:
-        shape, cells, corner = w._cells()
-        read = reads.get((shape, corner, w.N))
-        if read is None:
-            plan = shape.box(corner, w.N, m, n)
-            read = plan.read
-            if plan.point is not None:
-                read = functools.partial(plan.vertex, w.skeleton)
-            reads[(shape, corner, w.N)] = read
-        out.append(intern.setdefault(read(cells), len(intern)))
-    return out
-
-
 # A relation on the swept windows is an equivalence relation, held as the
 # partition its class tokens induce: i ~ j iff tok[i] == tok[j].  The three
 # tests below count distinct tokens and token pairs, in O(W) for W windows.
@@ -920,31 +905,6 @@ def _meet(a: list, b: list, c: list) -> bool:
     return _same(list(zip(a, b)), c)
 
 
-def _tail_eq(windows: list[Window], m: Degree) -> list[int]:
-    # window-scale G_{s,m} classes by the tail block x(m, Ne)
-    ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
-    return _block_tokens(windows, m, ne)
-
-
-def _head_eq(windows: list[Window], n0: Degree) -> list[int]:
-    ne = dv.scaled(windows[0].N, windows[0].skeleton.k)
-    return _block_tokens(windows, dv.neg(ne), n0)
-
-
-def _api_cross_check(
-    windows: list[Window], sweeps: list[tuple[Degree, list[int]]], predicate, rng: random.Random
-) -> bool:
-    """The sweeps compare interned blocks; spot-check the public predicate
-    on seeded draws of (offset, i, j) over the (offset, tokens) sweeps given."""
-    n = len(windows)
-    for _ in range(min(120, len(sweeps) * n * n)):
-        m, tok = rng.choice(sweeps)
-        i, j = rng.randrange(n), rng.randrange(n)
-        if predicate(windows[i], windows[j], m) != (tok[i] == tok[j]):
-            return False
-    return True
-
-
 @_check("stable-nesting")
 def check_stable_nesting(suite: Suite, name: str) -> CheckResult:
     sk, cfg = suite.sk, suite.cfg
@@ -952,17 +912,24 @@ def check_stable_nesting(suite: Suite, name: str) -> CheckResult:
     one = dv.ones(k)
     windows = suite.windows(cfg.radius, name)
     ne = dv.scaled(cfg.radius, k)
-    eq = {m: _tail_eq(windows, m) for m in dv.box(dv.neg(ne), ne)}
+    eq = {m: _stable_classes(windows, m) for m in dv.box(dv.neg(ne), ne)}
     for m in dv.box(dv.neg(one), one):
         for m2 in dv.box(m, ne):
             if not _refines(eq[m], eq[m2]):
                 return CheckResult(name, "fail", f"stable at {m} but not at {m2}")
-    rng = suite.rng(name + "-api")
-    for m in (dv.neg(one), dv.zero(k), one):
-        if not _api_cross_check(
-            windows, [(m, eq[m])], lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
-        ):
-            return CheckResult(name, "fail", f"stable_equiv disagrees with sweep at {m}")
+    if suite.sweep(cfg.radius)[1] is not None:
+        # every window: the class of nu = x(m, Ne) holds one window per path
+        # of degree Ne + m with source r(nu), (1^T M^(Ne+m))_r(nu) of them
+        table = _box_table(sk, dv.scaled(2 * cfg.radius, k))
+        for m, tok in eq.items():
+            ending = [sum(row) for row in table[dv.sub(ne, m)]]  # nu per range
+            sizes = [sum(col) for col in zip(*table[dv.add(ne, m)])]
+            want = Counter()
+            for count, size in zip(ending, sizes):
+                if count and size:
+                    want[size] += count
+            if Counter(Counter(tok).values()) != want:
+                return CheckResult(name, "fail", f"stable class sizes at {m} break the path counts")
     return CheckResult(name, "pass", f"{len(windows)} windows")
 
 
@@ -980,27 +947,20 @@ def check_shift_conjugation(suite: Suite, name: str) -> CheckResult:
     one = dv.ones(k)
     windows = suite.windows(cfg.radius, name)
     ne = dv.scaled(cfg.radius, k)
-    tail = {m: _tail_eq(windows, m) for m in dv.box(dv.neg(ne), ne)}
-    rng = suite.rng(name + "-api")
+    tail = {m: _stable_classes(windows, m) for m in dv.box(dv.neg(ne), ne)}
     for m in dv.box(dv.neg(one), one):
         if dv.norm_max(m) > cfg.radius - 1:
             continue
         shifted = suite.shifted(cfg.radius, name, m)
         aligned = m == dv.scaled(m[0], k) and m[0] >= 0
         inner = dv.scaled(shifted[0].N, k)
-        sweeps = []
         for nn in dv.box(dv.neg(inner), inner):
             lhs = tail[dv.add(m, nn)]
-            rhs = _tail_eq(shifted, nn)
+            rhs = _stable_classes(shifted, nn)
             if not _refines(lhs, rhs):
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) does not map into G_(s,{nn})")
             if aligned and not _same(lhs, rhs):
                 return CheckResult(name, "fail", f"G_(s,{m}+{nn}) mismatch under sigma^{m}")
-            sweeps.append((nn, rhs))
-        if not _api_cross_check(
-            shifted, sweeps, lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
-        ):
-            return CheckResult(name, "fail", "stable_equiv disagrees on shifted pairs")
     return CheckResult(name, "pass")
 
 
@@ -1015,7 +975,7 @@ def check_fibered_product(suite: Suite, name: str) -> CheckResult:
     for m in dv.box(dv.neg(one), one):
         if dv.norm_max(m) > cfg.radius - 1:
             continue
-        lhs = _tail_eq(windows, m)
+        lhs = _stable_classes(windows, m)
         rhs = _tokens(suite.shifted(cfg.radius, name, m), restriction_map)
         if not _refines(lhs, rhs):
             return CheckResult(name, "fail", f"stable at {m} but pi differs")
@@ -1029,7 +989,6 @@ def check_asymptotic_meet(suite: Suite, name: str) -> CheckResult:
     sk, cfg = suite.sk, suite.cfg
     k = sk.k
     windows = suite.windows(cfg.radius, name)
-    rng = suite.rng(name + "-api")
     for m in dv.box(dv.zero(k), dv.ones(k)):
         asym = _tokens(
             windows,
@@ -1038,12 +997,9 @@ def check_asymptotic_meet(suite: Suite, name: str) -> CheckResult:
                 w.extract(dv.scaled(-w.N, k), dv.neg(m)),
             ),
         )
-        if not _meet(_tail_eq(windows, m), _head_eq(windows, dv.neg(m)), asym):
+        stable, unstable = _stable_classes(windows, m), _unstable_classes(windows, dv.neg(m))
+        if not _meet(stable, unstable, asym):
             return CheckResult(name, "fail", f"asymptotic != stable and unstable at {m}")
-        if not _api_cross_check(
-            windows, [(m, asym)], lambda x, y, mm: asymptotic_equiv(x, y, mm), rng
-        ):
-            return CheckResult(name, "fail", f"asymptotic_equiv disagrees with sweep at {m}")
     return CheckResult(name, "pass")
 
 
@@ -1057,21 +1013,9 @@ def check_opposite_swap(suite: Suite, name: str) -> CheckResult:
     for w, o in zip(windows, ops):
         if window_op(o) != w:
             return CheckResult(name, "fail", f"op involution breaks on {w!r}")
-    rng = suite.rng(name + "-api")
     for m in dv.box(dv.neg(one), one):
-        direct = _head_eq(windows, m)
-        swapped = _tail_eq(ops, dv.neg(m))
-        if not _same(direct, swapped):
+        if not _same(_unstable_classes(windows, m), _stable_classes(ops, dv.neg(m))):
             return CheckResult(name, "fail", f"stable/unstable swap fails at m={m}")
-        # the public predicates, directly and through the opposite windows
-        ok_direct = _api_cross_check(
-            windows, [(m, direct)], lambda x, y, mm: unstable_equiv(RelationQuery(x, y, mm)), rng
-        )
-        ok_op = _api_cross_check(
-            ops, [(dv.neg(m), direct)], lambda x, y, mm: stable_equiv(RelationQuery(x, y, mm)), rng
-        )
-        if not (ok_direct and ok_op):
-            return CheckResult(name, "fail", f"unstable_equiv routes disagree at m={m}")
     return CheckResult(name, "pass")
 
 

@@ -21,6 +21,7 @@ shrinks the radius by the max coordinate of the shift.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,8 +91,15 @@ class Window:
     __slots__ = ("skeleton", "N", "key", "origin", "_grid", "_body", "_nested_words")
 
     def __init__(self, N: int, body: Morphism) -> None:
-        """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne."""
+        """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne: a
+        radius that is not an integer >= 1, or a body of another degree,
+        raises DegreeMismatch."""
         sk = body.skeleton
+        N = _radius(N)
+        if body.degree != dv.scaled(2 * N, sk.k):
+            raise DegreeMismatch(
+                f"body degree {body.degree} is not 2Ne = {dv.scaled(2 * N, sk.k)}"
+            )
         shape, cells = grid_shape(sk, body.degree), unit_grid(body)
         self.skeleton = sk
         self.N = N
@@ -202,6 +210,26 @@ class Window:
         }
 
 
+def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> list[int]:
+    """``Window._read`` of x(m, n) over a list of windows, interned: equal
+    tokens iff equal blocks, for windows over one skeleton at one radius.
+    The box's plan is looked up once per grid layout (shape, corner, N)."""
+    reads: dict = {}
+    intern: dict = {}
+    out = []
+    for w in windows:
+        shape, cells, corner = w._cells()
+        read = reads.get((shape, corner, w.N))
+        if read is None:
+            plan = shape.box(corner, w.N, m, n)
+            read = plan.read
+            if plan.point is not None:
+                read = functools.partial(plan.vertex, w.skeleton)
+            reads[(shape, corner, w.N)] = read
+        out.append(intern.setdefault(read(cells), len(intern)))
+    return out
+
+
 def _radius(n: int) -> int:
     """A window radius: an integer >= 1, else DegreeMismatch."""
     n = dv.as_integer(n, "radius")
@@ -213,11 +241,6 @@ def _radius(n: int) -> int:
 def make_window(sk: Skeleton, body: Morphism, n: int) -> Window:
     if body.skeleton != sk:
         raise GraphMismatch("body belongs to a different skeleton")
-    n = _radius(n)
-    if body.degree != dv.scaled(2 * n, sk.k):
-        raise DegreeMismatch(
-            f"body degree {body.degree} is not 2Ne = {dv.scaled(2 * n, sk.k)}"
-        )
     return Window(n, body)
 
 

@@ -2,18 +2,26 @@
 
 Every predicate quantifies only over boxes inside the window; a True
 answer certifies membership of common extensions up to the box and
-nothing beyond it.  The unstable relation is the stable one seen through
-the opposite-graph involution: (x, y) agree on every box ending at m
-exactly when (x^op, y^op) agree on every box starting at -m.  The suite
-checks ``unstable_equiv`` against ``stable_equiv`` on ``window_op``
+nothing beyond it.  Each relation's box is defined once, here: the stable
+box at m is [m, Ne] (``_stable_box``), the unstable box at n is [-Ne, n]
+(``_unstable_box``), and the asymptotic relation at m reads the stable box
+at m and the unstable box at -m.  The predicates compare one pair of
+windows on these boxes; ``_stable_classes`` and ``_unstable_classes``
+partition a list of windows on the same boxes, and the battery reads the
+relations through them.  The unstable relation is the stable one seen
+through the opposite-graph involution: (x, y) agree on every box ending
+at m exactly when (x^op, y^op) agree on every box starting at -m.  The
+battery's ``relation-opposite-swap`` compares the unstable partition of
+the swept windows with the stable partition of their ``window_op``
 windows.
 
 The predicates compare raw block reads (``Window._read``: the word of the
-block, or the vertex for a point box) through the windows' compiled read
-plans, and build no ``Morphism``.  Once ``_check_pair`` has matched the
-skeleton and the radius, the two reads are of one box at one degree, so
-they are equal exactly when the blocks are.  An offset outside the box
-raises ``OutOfBox`` from the window's read plan.
+block, or the vertex for a point box; ``dynamics._block_tokens`` is its
+batch form) through the windows' compiled read plans, and build no
+``Morphism``.  Once ``_check_pair`` has matched the skeleton and the
+radius, the two reads are of one box at one degree, so they are equal
+exactly when the blocks are.  An offset outside the box raises
+``OutOfBox`` from the window's read plan.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from . import degrees as dv
 from .core import Morphism, opposite_morphism
 from .degrees import Degree
-from .dynamics import Window, restrict, shift
+from .dynamics import Window, _block_tokens, restrict, shift
 from .errors import (
     GraphMismatch,
     NotComposableInGroupoid,
@@ -46,40 +54,55 @@ def _check_pair(x: Window, y: Window) -> None:
         raise RadiusMismatch(f"radii differ: {x.N} != {y.N}")
 
 
+def _stable_box(x: Window, m: Degree) -> tuple[Degree, Degree]:
+    """The box of G_{s,m}: [m, Ne].  Agreement on every box [m, n] up to
+    the window edge is agreement on this one, by nested-extraction
+    consistency."""
+    return m, dv.scaled(x.N, x.skeleton.k)
+
+
+def _unstable_box(x: Window, n: Degree) -> tuple[Degree, Degree]:
+    """The box of G_{u,n}: [-Ne, n], the widest box ending at n."""
+    return dv.neg(dv.scaled(x.N, x.skeleton.k)), n
+
+
+def _agree(x: Window, y: Window, box: tuple[Degree, Degree]) -> bool:
+    return x._read(*box) == y._read(*box)
+
+
 def stable_equiv(q: RelationQuery) -> bool:
     """Window-scale membership of (x, y) in G_{s,m}: agreement on every
-    box [m, n] up to the window edge.  Equivalent to agreement of the
-    single maximal block x(m, Ne), by nested-extraction consistency."""
+    box [m, n] up to the window edge."""
     _check_pair(q.x, q.y)
-    k = q.x.skeleton.k
-    m = dv.as_degree(q.m, k)
-    ne = dv.scaled(q.x.N, k)
-    return q.x._read(m, ne) == q.y._read(m, ne)
+    return _agree(q.x, q.y, _stable_box(q.x, dv.as_degree(q.m, q.x.skeleton.k)))
 
 
 def unstable_equiv(q: RelationQuery) -> bool:
     """Agreement on every box [m, n] with n <= q.m (here q.m is the right
-    endpoint).  Equivalent to agreement of the single maximal block
-    x(-Ne, q.m), by nested-extraction consistency."""
+    endpoint)."""
     _check_pair(q.x, q.y)
-    k = q.x.skeleton.k
-    n0 = dv.as_degree(q.m, k)
-    ne = dv.scaled(q.x.N, k)
-    lo = dv.neg(ne)
-    return q.x._read(lo, n0) == q.y._read(lo, n0)
+    return _agree(q.x, q.y, _unstable_box(q.x, dv.as_degree(q.m, q.x.skeleton.k)))
 
 
 def asymptotic_equiv(x: Window, y: Window, m: Degree) -> bool:
     """Double-tail agreement: x(m, n) = y(m, n) and x(-n, -m) = y(-n, -m)
     for every n up to the window edge, m >= 0."""
     _check_pair(x, y)
-    k = x.skeleton.k
-    m = dv.as_degree(m, k)
+    m = dv.as_degree(m, x.skeleton.k)
     if not dv.is_nonneg(m):
         raise OutOfBox(f"asymptotic offset must be in N^k, got {m}")
-    ne = dv.scaled(x.N, k)
-    neg_ne, neg_m = dv.neg(ne), dv.neg(m)
-    return x._read(m, ne) == y._read(m, ne) and x._read(neg_ne, neg_m) == y._read(neg_ne, neg_m)
+    return _agree(x, y, _stable_box(x, m)) and _agree(x, y, _unstable_box(x, dv.neg(m)))
+
+
+def _stable_classes(windows: list[Window], m: Degree) -> list[int]:
+    """G_{s,m} on windows of one skeleton and radius, as class tokens:
+    tok[i] == tok[j] exactly when windows i and j are stably equivalent at m."""
+    return _block_tokens(windows, *_stable_box(windows[0], m))
+
+
+def _unstable_classes(windows: list[Window], n: Degree) -> list[int]:
+    """G_{u,n} on windows of one skeleton and radius, as class tokens."""
+    return _block_tokens(windows, *_unstable_box(windows[0], n))
 
 
 def restriction_map(x: Window) -> Morphism:
@@ -108,10 +131,8 @@ class GroupoidElement:
 
 def _stably_related_somewhere(x: Window, y: Window) -> bool:
     # by nesting, existence of a good box reduces to the weakest one,
-    # agreement at the top corner
-    k = x.skeleton.k
-    ne = dv.scaled(x.N, k)
-    return x._read(ne, ne) == y._read(ne, ne)
+    # the stable box at the top corner
+    return _agree(x, y, _stable_box(x, dv.scaled(x.N, x.skeleton.k)))
 
 
 def semidirect_compose(g1: GroupoidElement, g2: GroupoidElement) -> GroupoidElement:

@@ -1,14 +1,15 @@
 """The battery checks fail when what they test is broken.
 
-Each test swaps a wrong variant of a window operation, relation predicate
-or measure evaluator into `kgraphs.checks`, or of the word rewriting into
-`kgraphs.core`, and asserts that the check reports `fail`, so the
-class-reduced, hoisted and reduced checks keep the power of the loops they
-replace.  The partition tests behind the relation
-checks are compared with their W x W matrix definitions, and the pairs of
+Each test swaps a wrong variant of a window operation or measure evaluator
+into `kgraphs.checks`, of a relation's box into `kgraphs.relations`, or of
+the word rewriting into `kgraphs.core`, and asserts that the check reports
+`fail`, so the class-reduced, hoisted and reduced checks keep the power of
+the loops they replace.  The partition tests behind the relation checks
+are compared with their W x W matrix definitions, and the pairs of
 windows that the metric checks measure with their all-pairs definitions.
 """
 
+import ast
 import itertools
 import math
 import os
@@ -17,13 +18,14 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphs import checks, core
+from kgraphs import checks, core, relations
 from kgraphs import degrees as dv
 from kgraphs.core import (
     Skeleton,
@@ -43,6 +45,7 @@ from kgraphs.dynamics import (
     DistanceResult,
     MetricParams,
     Window,
+    _block_tokens,
     all_windows,
     bracket,
     distance,
@@ -50,7 +53,7 @@ from kgraphs.dynamics import (
 )
 from kgraphs.errors import NotBracketable, NotConverged
 from kgraphs.measure import conditional_measure, haar_weight, parry_measure
-from kgraphs.relations import restriction_map, stable_equiv
+from kgraphs.relations import _stable_classes, restriction_map
 from kgraphs.spectral import perron_data, vertex_matrix
 
 from conftest import FIXTURES, GOLDEN
@@ -671,15 +674,88 @@ def test_product_decomposition_reaches_degree_2e_on_a_large_flip_graph(monkeypat
     )
 
 
-def test_shift_conjugation_catches_a_stable_equiv_wrong_only_on_shifted_windows(g3, monkeypatch):
-    # right on the radius-N windows, which stable-nesting samples
-    def wrong(q):
-        return stable_equiv(q) != (q.x.N < CFG.radius)
+# Faults in the boxes that relations.py defines once, each clipped to stay
+# inside the window: the predicates and the battery's partitions read the
+# wrong box alike, so only rows that compare a partition with another
+# reading (pi, extract, the opposite windows, the path counts) can see it.
+def _ne(w):
+    return dv.scaled(w.N, w.skeleton.k)
 
-    monkeypatch.setattr(checks, "stable_equiv", wrong)
+
+def _e(w):
+    return dv.ones(w.skeleton.k)
+
+
+_STABLE_BOX = relations._stable_box
+BOX_FAULTS = {
+    "stable hi-e": ("_stable_box", lambda w, m: (m, dv.join(m, dv.sub(_ne(w), _e(w))))),
+    "stable lo+e": ("_stable_box", lambda w, m: (dv.meet(dv.add(m, _e(w)), _ne(w)), _ne(w))),
+    "stable point": ("_stable_box", lambda w, m: (m, m)),
+    "unstable lo+e": ("_unstable_box", lambda w, n: (dv.meet(dv.sub(_e(w), _ne(w)), n), n)),
+    "unstable hi-e": (
+        "_unstable_box",
+        lambda w, n: (dv.neg(_ne(w)), dv.join(dv.sub(n, _e(w)), dv.neg(_ne(w)))),
+    ),
+}
+_FOUR = {"stable-nesting", "relation-fibered-product", "asymptotic-meet", "relation-opposite-swap"}
+_TWO = {"asymptotic-meet", "relation-opposite-swap"}
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        ("stable hi-e", {"g1": _FOUR, "g2": _FOUR, "g3": _FOUR}),
+        ("stable lo+e", {"g1": _FOUR, "g2": _FOUR | {"relation-shift-conjugation"}, "g3": _FOUR}),
+        ("stable point", {"g1": _FOUR, "g2": _FOUR, "g3": _FOUR}),
+        ("unstable lo+e", {"g1": _TWO, "g2": _TWO, "g3": _TWO}),
+        ("unstable hi-e", {"g1": _TWO, "g2": _TWO, "g3": _TWO}),
+    ],
+)
+def test_relation_rows_catch_a_wrong_box(request, monkeypatch, fault, failing):
+    monkeypatch.setattr(relations, *BOX_FAULTS[fault])
+    for name in failing:
+        rows = checks.run_suite(request.getfixturevalue(name), CFG)
+        assert {r.name for r in rows if r.failed} == failing[name], name
+
+
+def test_stable_nesting_compares_class_sizes_with_path_counts(g1, monkeypatch):
+    # on the full 2-shift every stable partition nests whatever the box, so
+    # only the class sizes (1^T M^(Ne+m))_r(nu) see a box one step short
+    monkeypatch.setattr(relations, *BOX_FAULTS["stable hi-e"])
+    result = checks.check_stable_nesting(checks.Suite(g1, CFG))
+    assert (result.status, result.detail) == (
+        "fail",
+        "stable class sizes at (-2,) break the path counts",
+    )
+
+
+def test_shift_conjugation_catches_a_stable_box_wrong_only_on_shifted_windows(g3, monkeypatch):
+    # right on the radius-N windows, which stable-nesting sweeps
+    def wrong(w, m):
+        return BOX_FAULTS["stable hi-e"][1](w, m) if w.N < CFG.radius else _STABLE_BOX(w, m)
+
+    monkeypatch.setattr(relations, "_stable_box", wrong)
     assert checks.check_stable_nesting(checks.Suite(g3, CFG)).status == "pass"
     result = checks.check_shift_conjugation(checks.Suite(g3, CFG))
-    assert (result.status, result.detail) == ("fail", "stable_equiv disagrees on shifted pairs")
+    assert (result.status, result.detail) == (
+        "fail",
+        "G_(s,(1, 1)+(-1, -1)) mismatch under sigma^(1, 1)",
+    )
+
+
+def test_checks_do_not_read_the_grid():
+    # the grid format stays behind dynamics: the battery reads blocks
+    # through the relations' class tokens and dynamics._block_tokens
+    grid = {"_cells", "_read", "GridShape", "ReadPlan", "grid_shape"}
+    named = set()
+    for node in ast.walk(ast.parse(Path(checks.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert not named & grid
 
 
 def test_shift_conjugation_catches_a_shift_that_moves_the_wrong_way(g3, monkeypatch):
@@ -736,7 +812,7 @@ def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):
     # the box [Ne, Ne] has the empty word: only the vertex x(Ne) is left
     windows = all_windows(g2, 2)
     ends = [w.extract((2,), (2,)).range for w in windows]
-    tok = checks._tail_eq(windows, (2,))
+    tok = _stable_classes(windows, (2,))
     assert {ends[i] == ends[j] for i in range(len(ends)) for j in range(len(ends))} == {True, False}
     for i, a in enumerate(ends):
         for j, b in enumerate(ends):
@@ -744,15 +820,16 @@ def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):
 
 
 def test_block_tokens_agree_with_extracted_morphisms(g3):
-    # on windows of the radius-N grid and on shifted views of it, whose
-    # grid corners differ
+    # on windows of the radius-N grid, on shifted views of it, whose grid
+    # corners differ, and on brackets, which have no grid until first read
     windows = all_windows(g3, 2)[::7]
-    for views in (windows, [shift(w, (1, -1)) for w in windows]):
+    brackets = [bracket(x, y) for x in windows[:6] for y in windows[-6:] if x.origin == y.origin]
+    for views in (windows, [shift(w, (1, -1)) for w in windows], brackets):
         n = views[0].N
         for m in dv.box((-n, -n), (n, n)):
             for top in dv.box(m, (n, n)):
+                tok = _block_tokens(views, m, top)
                 extracted = [w.extract(m, top) for w in views]
-                tok = checks._block_tokens(views, m, top)
                 for i, a in enumerate(extracted):
                     for j, b in enumerate(extracted):
                         assert (tok[i] == tok[j]) == (a == b)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgraphs import degrees as dv
-from kgraphs.core import compose, enumerate_morphisms, make_morphism
+from kgraphs.core import compose, enumerate_morphisms, identity, make_morphism
 from kgraphs.dynamics import (
     MetricParams,
     Window,
@@ -57,6 +57,20 @@ def test_make_window_rejects_wrong_degree(g1):
         make_window(g1, make_morphism(g1, ["a", "a", "a"]), 2)
     with pytest.raises(DegreeMismatch):
         make_window(g1, make_morphism(g1, ["a", "a"]), 0)
+
+
+def test_window_constructor_checks_radius_and_body_degree(g2):
+    # every window is built here (all_windows, window_op, the samplers), so
+    # the constructor checks the radius and the degree, not make_window alone
+    cases = [
+        (2, make_morphism(g2, ["uu", "uu"]), r"body degree \(2,\) is not 2Ne = \(4,\)"),
+        (0, identity(g2, "u"), "radius must be >= 1, got 0"),
+        (2, make_morphism(g2, ["uu"] * 6), r"body degree \(6,\) is not 2Ne = \(4,\)"),
+        (1.5, make_morphism(g2, ["uu"] * 3), "radius must be an integer, got 1.5"),
+    ]
+    for radius, body, match in cases:
+        with pytest.raises(DegreeMismatch, match=match):
+            Window(radius, body)
 
 
 def test_make_window_rejects_foreign_body(g1, g2):
