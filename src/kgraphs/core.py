@@ -21,6 +21,7 @@ range and source switched relative to graph arrows.
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -1108,10 +1109,14 @@ def opposite_graph(sk: Skeleton) -> Skeleton:
 
     Edge ids are preserved, and the result is memoized on both skeletons,
     so applying this twice returns the original object, not just an equal
-    one.
+    one, while the original lives.  The opposite holds the original only
+    weakly, so the pair forms no reference cycle; once the original is
+    gone, the opposite of the opposite is built afresh.
     """
     cache = sk._cache("opposite")
     hit = cache.get("op")
+    if isinstance(hit, weakref.ref):  # sk was built as the opposite of hit
+        hit = hit()
     if hit is None:
         edges = tuple(
             ColoredEdge(e.id, e.color, range=e.source, source=e.range) for e in sk.edges
@@ -1123,7 +1128,7 @@ def opposite_graph(sk: Skeleton) -> Skeleton:
         )
         hit = Skeleton(sk.k, sk.vertices, edges, squares)
         cache["op"] = hit
-        hit._cache("opposite")["op"] = sk
+        hit._cache("opposite")["op"] = weakref.ref(sk)
     return hit
 
 

@@ -11,6 +11,14 @@ computed by power iteration on I + sum_c M_c read straight from the edge
 list.  The eigendata are lists of floats, and every sum, dot product and
 norm is taken with ``math.fsum``, which rounds exactly, so they depend on
 no linear-algebra kernel and no Python version.
+
+The aperiodicity probe tests a path for a period p by reading two boxes of
+its grid through the grid's read plans: [lo, hi], lo = join(0, -p) and
+hi = (depth+1)e - join(0, p), which holds every unit edge whose translate
+by p lies in the grid, and [lo + p, hi + p].  The path is p-invariant when
+the two normal-form words are equal.  A word fixes the path on its box by
+unique factorisation, so the probe assumes a skeleton that passes
+``validate_skeleton``.
 """
 
 from __future__ import annotations
@@ -365,18 +373,17 @@ def aperiodicity_probe(sk: Skeleton, depth: int) -> ProbeResult:
         (p for p in dv.box(dv.scaled(-depth, sk.k), dv.scaled(depth, sk.k)) if not dv.is_zero(p)),
         key=lambda p: (dv.norm_max(p), p),
     )
-    # per period p, the slots of the unit edges (c, i) and (c + p, i) that
-    # both lie in the box: a grid is p-invariant when each pair agrees
-    shape = grid_shape(sk, big)
-    slots: dict[Degree, list[tuple[int, int]]] = {p: [] for p in candidates}
-    for here, (c, i) in enumerate(shape.units):
-        for p, pairs in slots.items():
-            there = shape.index.get((dv.add(c, p), i))
-            if there is not None:
-                pairs.append((here, there))
+    # the unit edges (c, i) with (c + p, i) in the grid are those of [lo, hi]:
+    # a grid is p-invariant when that box and its translate read the same word
+    shape, zero = grid_shape(sk, big), dv.zero(sk.k)
+    reads = {}
+    for p in candidates:
+        lo, hi = dv.join(zero, dv.neg(p)), dv.sub(big, dv.join(zero, p))
+        reads[p] = shape.plan(lo, hi).read, shape.plan(dv.add(lo, p), dv.add(hi, p)).read
 
     def invariant(cells: list[str], p: Degree) -> bool:
-        return all(cells[a] == cells[b] for a, b in slots[p])
+        here, there = reads[p]
+        return here(cells) == there(cells)
 
     global_periods = tuple(p for p in candidates if all(invariant(grids[w], p) for w in windows))
     if global_periods:

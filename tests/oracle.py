@@ -17,6 +17,13 @@ of degree d(p) + d(q) whose restrictions to [0, d(p)] and to
 [0, 2e].  A library morphism stores the word read along the staircase of
 its grid (from 0 along e_0 first, then e_1, and so on), so each path is
 matched with the library morphism of that word.
+
+`aperiodicity_probe` is the probe of `kgraphs.spectral` by its definition:
+a path is p-invariant when every unit edge (c, i) whose translate
+(c + p, i) lies in the grid carries the same edge as that translate.  It
+pairs the slots of each unit edge and its translate on the library's grids
+(`unit_grid`, checked against `subblock` in `tests/test_grids.py`), where
+the library compares the normal-form words of two boxes instead.
 """
 
 from __future__ import annotations
@@ -24,7 +31,23 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from kgraphs.core import compose, count_morphisms, enumerate_morphisms, factorize, subblock
+from kgraphs import degrees as dv
+from kgraphs.core import (
+    compose,
+    count_morphisms,
+    enumerate_morphisms,
+    factorize,
+    grid_shape,
+    subblock,
+    unit_grid,
+)
+from kgraphs.spectral import (
+    _PROBE_CAP,
+    AperiodicWitness,
+    GlobalPeriod,
+    InconclusiveProbe,
+    ProbeResult,
+)
 
 #: a path: the vertex on each grid point, then the edge id on each unit
 #: edge, both in lexicographic order of the points
@@ -156,4 +179,43 @@ def assert_matches_oracle(sk) -> None:
                     inner = tuple(y - x for x, y in zip(a, b))
                     want = lib[inner, restrict(p, d, a, b)]
                     assert subblock(lib[d, p], a, b) == want, (lib[d, p], a, b)
-    
+
+
+def aperiodicity_probe(sk, depth: int) -> ProbeResult:
+    """`spectral.aperiodicity_probe` by its definition, slot pair by slot
+    pair on the library's grids, with its cap, orders and messages."""
+    big = dv.scaled(depth + 1, sk.k)
+    if count_morphisms(sk, big) > _PROBE_CAP:
+        return InconclusiveProbe(f"|Lambda^{big}| exceeds the probe cap {_PROBE_CAP}")
+    windows = enumerate_morphisms(sk, big)
+    grids = {w: unit_grid(w) for w in windows}
+    candidates = sorted(
+        (p for p in dv.box(dv.scaled(-depth, sk.k), dv.scaled(depth, sk.k)) if not dv.is_zero(p)),
+        key=lambda p: (dv.norm_max(p), p),
+    )
+    shape = grid_shape(sk, big)
+    slots: dict = {p: [] for p in candidates}
+    for here, (c, i) in enumerate(shape.units):
+        for p, pairs in slots.items():
+            there = shape.index.get((dv.add(c, p), i))
+            if there is not None:
+                pairs.append((here, there))
+
+    def invariant(cells, p) -> bool:
+        return all(cells[a] == cells[b] for a, b in slots[p])
+
+    periods = tuple(p for p in candidates if all(invariant(grids[w], p) for w in windows))
+    if periods:
+        return GlobalPeriod(periods)
+    witnesses = {}
+    for v in sk.vertices:
+        for w in windows:
+            if w.range == v and not any(invariant(grids[w], p) for p in candidates):
+                witnesses[v] = w
+                break
+    if len(witnesses) == len(sk.vertices):
+        return AperiodicWitness(witnesses)
+    return InconclusiveProbe(
+        "no global period, but vertices "
+        f"{sorted(set(sk.vertices) - set(witnesses))} lack a witness at this depth"
+    )

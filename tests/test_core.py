@@ -1,5 +1,6 @@
 """Skeleton validation, morphism arithmetic, and derived graphs."""
 
+import gc
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from kgraphs import core
 from kgraphs import degrees as dv
+from kgraphs.cli import run
 from kgraphs.core import (
     ColoredEdge,
     Morphism,
@@ -41,6 +43,8 @@ from kgraphs.errors import (
 )
 from kgraphs.dynamics import all_windows
 from kgraphs.spectral import vertex_matrix
+
+from conftest import FIXTURES
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +550,32 @@ def test_opposite_is_an_exact_involution(test_graphs):
     for sk in test_graphs:
         op = opposite_graph(sk)
         assert validate_skeleton(op).ok
-        assert opposite_graph(op) == sk
+        assert opposite_graph(op) is sk
+
+
+def test_an_opposite_that_outlives_its_graph_builds_it_again(g3):
+    # the opposite holds its graph weakly: once the graph is gone, the
+    # opposite of the opposite is an equal graph, built afresh and kept
+    op = opposite_graph(Skeleton(g3.k, g3.vertices, g3.edges, g3.squares))
+    again = opposite_graph(op)
+    assert again == g3
+    assert opposite_graph(op) is again
+    assert opposite_graph(again) is op
+
+
+def test_suites_leave_no_reference_cycles():
+    # a graph and its opposite memoize each other, so a strong reference
+    # both ways would keep every suite's graphs and grid plans alive until
+    # a full collection
+    texts = [(FIXTURES / f"{name}.json").read_text() for name in ("g1", "g2", "g3", "g4")]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            assert run("suite", text).exit_code == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_opposite_matrices_are_transposes(g2, test_graphs):

@@ -461,6 +461,29 @@ def test_trace_linearity(pd2, g2):
     )
 
 
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4"])
+def test_trace_scaling_check_catches_a_transport_without_its_t_power(
+    name, fixture_graphs, monkeypatch
+):
+    # offsets move, coefficients keep their weights: tau(beta_n f) = tau(f)
+    # where t^n tau(f) is due.  On g4, one edge per color, t = (1, 1) and
+    # t^n = 1 for every n, so no scaling fault can show there
+    def unscaled(pd, f, n):
+        return DiagonalFunction(
+            tuple((w, CylinderSet(cyl.lam, dv.sub(cyl.offset, n))) for w, cyl in f.terms)
+        )
+
+    sk, cfg = fixture_graphs[name], checks.AnalysisConfig()
+    assert checks.check_trace_scaling(checks.Suite(sk, cfg)).status == "pass"
+    monkeypatch.setattr(checks, "beta_transport", unscaled)
+    result = checks.check_trace_scaling(checks.Suite(sk, cfg))
+    if name == "g4":
+        assert perron_data(sk).t == (1.0, 1.0)
+        assert result.status == "pass"
+    else:
+        assert result.status == "fail"
+        assert result.detail.startswith("trace scaling fails at n=")
+
 def test_trace_scaling_under_transport(pd2, pd3, g2, g3):
     for pd, sk in ((pd2, g2), (pd3, g3)):
         lams = [

@@ -1,7 +1,10 @@
 """Vertex matrices, connectivity, Perron data, AF blocks, aperiodicity."""
 
+import ast
 import math
 import random
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from kgraphs.cli import run
 from kgraphs.core import (
     ColoredEdge,
     Skeleton,
+    SquareRule,
     _generator_matrix,
     combine,
     enumerate_morphisms,
@@ -29,8 +33,9 @@ from kgraphs.spectral import (
     vertex_matrix,
 )
 
+import oracle
 from conftest import load_fixture, schoolbook_product
-from randgraphs import document, make_random_skeletons, random_1graph
+from randgraphs import document, make_random_skeletons, random_1graph, random_flip_2graph
 
 PHI = (1 + math.sqrt(5)) / 2
 R40 = random_1graph(random.Random(40), 40, 40)
@@ -528,3 +533,55 @@ def test_probe_mixed_graph_is_inconclusive():
 def test_probe_depth_must_be_positive(g1):
     with pytest.raises(DegreeMismatch):
         aperiodicity_probe(g1, 0)
+
+
+def one_vertex_graph(k):
+    """One loop per color and flip squares e_i e_j = e_j e_i: every path
+    is invariant under every period."""
+    edges = tuple(ColoredEdge(f"e{c}", c, "v", "v") for c in range(k))
+    squares = tuple(
+        SquareRule((i, j), (f"e{i}", f"e{j}"), (f"e{j}", f"e{i}"))
+        for i, j in combinations(range(k), 2)
+    )
+    return Skeleton(k, ("v",), edges, squares)
+
+
+def _probe_cases():
+    flips = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        flips.append(random_flip_2graph(rng, rng.randint(1, 3), rng.randint(1, 3)))
+    graphs = [load_fixture(n) for n in ("g1", "g2", "g3", "g4")]
+    graphs += make_random_skeletons(7) + flips
+    cases = [(sk, depth) for sk in graphs for depth in (1, 2, 3)]
+    cases += [(one_vertex_graph(k), depth) for k in (1, 2, 3) for depth in (1, 2, 3)]
+    return cases + [(one_vertex_graph(4), depth) for depth in (1, 2)]
+
+
+def test_probe_matches_the_slot_pair_reference():
+    cases = _probe_cases()
+    assert len(cases) == 74
+    outcomes = set()
+    for sk, depth in cases:
+        got = aperiodicity_probe(sk, depth)
+        assert repr(got) == repr(oracle.aperiodicity_probe(sk, depth)), (sk, depth)
+        outcomes.add(type(got))
+    assert outcomes == {AperiodicWitness, GlobalPeriod, spectral.InconclusiveProbe}
+
+
+def test_spectral_does_not_read_the_grid_layout():
+    # the probe reads boxes through GridShape.plan: where the unit edges
+    # sit in a grid stays behind core and dynamics
+    tree = ast.parse(Path(spectral.__file__).read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"units", "index", "_reads"}
+
+
+def test_rank_five_spectral_reports_every_candidate_as_a_global_period():
+    # 3,124 = 5^5 - 1 candidate periods at depth 2 (the default radius),
+    # on a grid of 3,840 unit edges
+    report = run("spectral", document(one_vertex_graph(5)))
+    assert report.exit_code == 0
+    result = report.results["aperiodicity"]
+    assert result["result"] == "global-period"
+    assert len(result["periods"]) == 3124
