@@ -768,9 +768,10 @@ class GridShape:
     grid lists those edge ids in the order of ``units``.  One shape serves
     every grid of its box and builds each plan once: the read plans (where
     the normal-form word of x(a, b) lies in the grid), found by grid
-    coordinates or by the geometry of a window on the grid, the view plans
-    (where a window cut from the grid sits, and its key), and the
-    square-fill plans (how the grid follows from one path through the box).
+    coordinates or, on a window's box [0, 2Ne], by window coordinates; the
+    view plans (the key of a window cut from it, by center and radius); and
+    the square-fill plans (how the grid follows from one path through the
+    box).  Each table is bounded by the box, whatever reads through it.
     """
 
     def __init__(self, d: Degree) -> None:
@@ -781,10 +782,10 @@ class GridShape:
         )
         self.index = {u: slot for slot, u in enumerate(self.units)}
         #: chains of grid points (a, b) or (a, mid, b), and window boxes
-        #: (corner, N, m, n), each to its plan
+        #: (N, m, n), each to its plan
         self._reads: dict[tuple, ReadPlan] = {}
-        #: (corner, N, center, n) -> the corner of the view, and its key plan
-        self._views: dict[tuple[Degree, int, Degree, int], tuple[Degree, ReadPlan]] = {}
+        #: (center, n) -> the key plan of the view of radius n at ``center``
+        self._views: dict[tuple[Degree, int], ReadPlan] = {}
         self._fills: dict[Degree, tuple[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
 
     def plan(self, *chain: Degree) -> ReadPlan:
@@ -816,44 +817,32 @@ class GridShape:
                 return self.index[(dv.sub(p, dv.unit(i, len(p))), i)], False
         return None
 
-    def box(self, corner: Degree, N: int, m: Degree, n: Degree) -> ReadPlan:
-        """The plan of x(m, n) on the radius-N window whose corner -Ne sits
-        at ``corner`` of this grid.  A box that leaves the window raises
-        ``OutOfBox`` (a degree of the wrong rank ``ValueError``) and is
-        never stored, so it raises on every call."""
-        key = (corner, N, m, n)
-        try:
-            plan = self._reads.get(key)
-        except TypeError:  # a degree given as a list: look it up as a tuple
-            m, n = tuple(m), tuple(n)
-            key = (corner, N, m, n)
-            plan = self._reads.get(key)
+    def box(self, N: int, m: Degree, n: Degree) -> ReadPlan:
+        """The plan of x(m, n), m and n rank-k tuples, on the radius-N window
+        whose grid this is.  A box that leaves the window raises ``OutOfBox``
+        and is never stored, so it raises on every call."""
+        key = (N, m, n)
+        plan = self._reads.get(key)
         if plan is None:
-            for d in (m, n):
-                if len(d) != len(corner):
-                    raise dv.wrong_length(d, len(corner))
-            lo, hi = [], []
-            for c, a, b in zip(corner, m, n):
+            for a, b in zip(m, n):
                 if not -N <= a <= b <= N:
                     raise OutOfBox(f"box [{m}, {n}] leaves the window of radius {N}")
-                lo.append(c + N + a)
-                hi.append(c + N + b)
-            plan = self._reads[key] = self.plan(tuple(lo), tuple(hi))
+            lo = tuple([N + a for a in m])
+            plan = self._reads[key] = self.plan(lo, tuple([N + b for b in n]))
         return plan
 
-    def view(self, corner: Degree, N: int, center: Degree, n: int) -> tuple[Degree, ReadPlan]:
-        """The corner of the radius-n window centred at ``center`` of the
-        radius-N window at ``corner`` of this grid, and the plan of its key:
-        the words of x(-ne, 0) and x(0, ne), read in one call.  The caller
-        has checked that the view fits."""
-        key = (corner, N, center, n)
-        view = self._views.get(key)
-        if view is None:
-            lo = tuple([c + m + N - n for c, m in zip(corner, center)])
+    def view(self, N: int, center: Degree, n: int) -> ReadPlan:
+        """The plan of the key of the radius-n window centred at ``center``
+        of the radius-N window whose grid this is: the words of x(-ne, 0)
+        and x(0, ne), read in one call.  The caller has checked that the
+        view fits."""
+        key = (center, n)
+        plan = self._views.get(key)
+        if plan is None:
+            lo = tuple([N + c - n for c in center])
             mid = tuple([c + n for c in lo])
-            hi = tuple([c + 2 * n for c in lo])
-            view = self._views[key] = (lo, self.plan(lo, mid, hi))
-        return view
+            plan = self._views[key] = self.plan(lo, mid, tuple([c + n for c in mid]))
+        return plan
 
     def _fill_plan(self, mid: Degree) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
         """The slots of the path x(0, mid) x(mid, d), and the square steps
@@ -878,20 +867,20 @@ class GridShape:
             # the two-edge paths through this unit edge: (c, p) then
             # (c + e_p, q), and (c - e_q, q) then (c, p)
             around = []
+            up = c[:p] + (c[p] + 1,) + c[p + 1 :]
             for q in range(len(d)):
                 if q == p:
                     continue
                 if c[q] < d[q]:
-                    up = dv.add(c, dv.unit(p, len(d)))
                     around.append((slot, index[(up, q)], c, p, q))
                 if c[q] > 0:
-                    down = dv.sub(c, dv.unit(q, len(d)))
+                    down = c[:q] + (c[q] - 1,) + c[q + 1 :]
                     around.append((index[(down, q)], slot, down, q, p))
             for a, b, corner, first, second in around:
                 if a not in known or b not in known:
                     continue
                 x = index[(corner, second)]
-                y = index[(dv.add(corner, dv.unit(second, len(d))), first)]
+                y = index[(corner[:second] + (corner[second] + 1,) + corner[second + 1 :], first)]
                 if x in known and y in known:
                     continue
                 steps.append((a, b, x, y))

@@ -6,17 +6,20 @@ lattice category, so a window is stored as its grid of unit edges
 x(c, c + e_i) over the box (``core.GridShape``), and compared and hashed
 by its path through the origin: the past word x(-Ne, 0) followed by the
 future word x(0, Ne).  Extraction reads a staircase off the grid, shift
-and restriction are offset views of the same grid, and the bracket glues
-the past of one key to the future of another.
+and restriction cut a view out of it by reading the view's key, and the
+bracket glues the past of one key to the future of another.
 
 Reads are compiled: the grid's shape resolves each box once, by the
-window's corner on the grid, its radius and the box (``GridShape.box``),
-into a ``ReadPlan`` whose one ``itemgetter`` reads the box's word; a view
-finds its corner and the reader of its whole key the same way
-(``GridShape.view``).  Every operation that would read outside the box
-fails loudly rather than pad: a window never fabricates path data, and a
-box that leaves the window is never stored as a plan.  Shifting therefore
-shrinks the radius by the max coordinate of the shift.
+window's radius and the box (``GridShape.box``), into a ``ReadPlan`` whose
+one ``itemgetter`` reads the box's word; a view's key is read the same
+way, by its center and radius (``GridShape.view``).  A view keeps the
+window it was cut from and its center there, not a place on its grid: a
+view of a view not yet read is cut from the same source, and a view fills
+its own grid from its key when a box read first needs it, so only this
+module knows where a view sits.  Every operation that would read outside
+the box fails loudly rather than pad: a window never fabricates path data,
+and a box that leaves the window is never stored as a plan.  Shifting
+therefore shrinks the radius by the max coordinate of the shift.
 """
 
 from __future__ import annotations
@@ -70,9 +73,8 @@ class MetricParams:
             raise ValueError(f"metric parameter r must lie in (0, 1), got {self.r}")
 
 
-#: a grid of unit edges, its shape, and the grid coordinates of a window's
-#: corner -Ne on it (views of one grid differ in the corner only)
-_Grid = tuple[GridShape, list[str], Degree]
+#: a window's shape, the box [0, 2Ne], and its grid of unit edges
+_Grid = tuple[GridShape, list[str]]
 
 
 class Window:
@@ -82,13 +84,14 @@ class Window:
     path through the origin, ``key``: the normal-form words of the past
     x(-Ne, 0) and of the future x(0, Ne), concatenated.  The two halves
     determine the window (unique factorisation at Ne).  Shifted and
-    restricted windows are views of the grid they were cut from; a bracket
-    is its key alone until a read needs the grid.  Windows carry no
+    restricted windows are views: a key, with the window it was cut from
+    and its center there (``_source``); a bracket is its key alone.  Both
+    fill their own grid from the key when a read needs it.  Windows carry no
     instance dict: ``__slots__`` holds the fields, and the body and the
     nested words are filled on first read.
     """
 
-    __slots__ = ("skeleton", "N", "key", "origin", "_grid", "_body", "_nested_words")
+    __slots__ = ("skeleton", "N", "key", "origin", "_grid", "_source", "_body", "_nested_words")
 
     def __init__(self, N: int, body: Morphism) -> None:
         """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne: a
@@ -107,7 +110,8 @@ class Window:
         #: x(0), the vertex at the center of the box: the range of the
         #: first edge of the future word
         self.origin: Vertex = sk.edge_map[self.key[sk.k * N]].range
-        self._grid: _Grid | None = (shape, cells, dv.zero(sk.k))
+        self._grid: _Grid | None = (shape, cells)
+        self._source: tuple[Window, Degree] | None = None
         self._body: Morphism | None = body
         self._nested_words: tuple[tuple[str, ...], ...] | None = None
 
@@ -119,7 +123,7 @@ class Window:
         filled from the key when first read."""
         w = cls.__new__(cls)
         w.skeleton, w.N, w.key, w.origin, w._grid = sk, N, key, origin, grid
-        w._body = w._nested_words = None
+        w._source = w._body = w._nested_words = None
         return w
 
     def __hash__(self) -> int:
@@ -139,32 +143,39 @@ class Window:
         if self._grid is None:
             sk, ne = self.skeleton, dv.scaled(self.N, self.skeleton.k)
             shape = grid_shape(sk, dv.scaled(2 * self.N, sk.k))
-            self._grid = (shape, shape.fill(sk, self.key, ne), dv.zero(sk.k))
+            self._grid = (shape, shape.fill(sk, self.key, ne))
+            self._source = None  # views of it are cut from this grid: free the source
         return self._grid
 
     def _view(self, center: Degree, n: int) -> "Window":
-        """The radius-n window centred at ``center`` of this one, on its grid."""
-        shape, cells, corner = self._cells()
-        lo, plan = shape.view(corner, self.N, center, n)
-        key, sk = plan.read(cells), self.skeleton
-        return Window._of(sk, n, key, sk.edge_map[key[sk.k * n]].range, (shape, cells, lo))
+        """The radius-n window centred at ``center`` of this one, its key
+        read off this window's grid or, before that is filled, its source's."""
+        source = self
+        if self._source is not None:
+            source, at = self._source
+            center = dv.add(at, center)
+        shape, cells = source._cells()
+        key, sk = shape.view(source.N, center, n).read(cells), self.skeleton
+        w = Window._of(sk, n, key, sk.edge_map[key[sk.k * n]].range)
+        w._source = (source, center)
+        return w
 
     def _read(self, m: Degree, n: Degree) -> tuple[str, ...] | Vertex:
         """The raw read of x(m, n): its word, or the vertex x(m) for a point
         box.  Windows over one skeleton at one radius read equal raw values
         exactly when their blocks x(m, n) are equal."""
-        shape, cells, corner = self._cells()
-        plan = shape.box(corner, self.N, m, n)
+        shape, cells = self._cells()
+        plan = shape.box(self.N, m, n)
         return plan.read(cells) if plan.point is None else plan.vertex(self.skeleton, cells)
 
     @property
     def _nested(self) -> tuple[tuple[str, ...], ...]:
         """The normal-form words of x(-je, je), j = 1..N, as raw edge ids."""
         if self._nested_words is None:
-            shape, cells, corner = self._cells()
+            shape, cells = self._cells()
             N, k = self.N, self.skeleton.k
             self._nested_words = tuple(
-                shape.box(corner, N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
+                shape.box(N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
                 for j in range(1, N + 1)
             )
         return self._nested_words
@@ -173,8 +184,8 @@ class Window:
         """x(m, n) for -Ne <= m <= n <= Ne."""
         k = self.skeleton.k
         m, n = dv.as_degree(m, k), dv.as_degree(n, k)
-        shape, cells, corner = self._cells()
-        return shape.box(corner, self.N, m, n).morphism(self.skeleton, cells)
+        shape, cells = self._cells()
+        return shape.box(self.N, m, n).morphism(self.skeleton, cells)
 
     @property
     def past(self) -> Morphism:
@@ -213,19 +224,19 @@ class Window:
 def _block_tokens(windows: list[Window], m: Degree, n: Degree) -> list[int]:
     """``Window._read`` of x(m, n) over a list of windows, interned: equal
     tokens iff equal blocks, for windows over one skeleton at one radius.
-    The box's plan is looked up once per grid layout (shape, corner, N)."""
+    The box's plan is looked up once per grid shape."""
     reads: dict = {}
     intern: dict = {}
     out = []
     for w in windows:
-        shape, cells, corner = w._cells()
-        read = reads.get((shape, corner, w.N))
+        shape, cells = w._cells()
+        read = reads.get(shape)
         if read is None:
-            plan = shape.box(corner, w.N, m, n)
+            plan = shape.box(w.N, m, n)
             read = plan.read
             if plan.point is not None:
                 read = functools.partial(plan.vertex, w.skeleton)
-            reads[(shape, corner, w.N)] = read
+            reads[shape] = read
         out.append(intern.setdefault(read(cells), len(intern)))
     return out
 

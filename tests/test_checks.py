@@ -820,8 +820,8 @@ def test_tail_eq_at_the_corner_compares_the_vertex_x_ne(g2):
 
 
 def test_block_tokens_agree_with_extracted_morphisms(g3):
-    # on windows of the radius-N grid, on shifted views of it, whose grid
-    # corners differ, and on brackets, which have no grid until first read
+    # on windows built from their bodies, on shifted views of them, and on
+    # brackets: views and brackets have no grid until first read
     windows = all_windows(g3, 2)[::7]
     brackets = [bracket(x, y) for x in windows[:6] for y in windows[-6:] if x.origin == y.origin]
     for views in (windows, [shift(w, (1, -1)) for w in windows], brackets):

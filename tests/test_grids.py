@@ -22,7 +22,15 @@ from kgraphs.core import (
     sample_morphism,
     subblock,
 )
-from kgraphs.dynamics import all_windows, bracket, distance, make_window, restrict, shift
+from kgraphs.dynamics import (
+    all_windows,
+    bracket,
+    distance,
+    make_window,
+    restrict,
+    sample_window,
+    shift,
+)
 from kgraphs.errors import OutOfBox
 
 GRAPHS = ["g1", "g2", "g3", "g4", "flip", "product3"]
@@ -94,9 +102,10 @@ def test_views_match_fresh_windows(sk, n):
 
 
 def test_every_box_of_every_view_matches_subblock(sk):
-    # views sit at grid corners other than 0, and a bracket's grid is filled
-    # from its key; every box of each is read off its own plan and compared
-    # with subblock on the body the view stands for
+    # views are cut at centers other than 0 (a view of a view from the same
+    # source), and views and brackets fill their grids from their keys;
+    # every box of each is read off its own plan and compared with subblock
+    # on the body the view stands for
     k = sk.k
     radii = (2,) if k == 3 else (2, 3)  # a rank-3 view of radius 2 has 3375 boxes
     for n, body in [(n, b) for n in radii for b in _bodies(sk, n, 2)]:
@@ -163,29 +172,48 @@ def test_window_operations_keep_no_per_pair_tables(g3, random_skeletons, random_
             assert len(held._memo.get("powers", ())) <= 3 * held.k
             # each shape's plans are bounded by its box geometry, however
             # many windows and pairs the suite read through them
-            for d, shape in held._memo["grid"].items():
-                reads, views = _plan_bounds(d)
-                assert len(shape._reads) <= reads and len(shape._views) <= views, d
-                assert len(shape._fills) <= math.prod(di + 1 for di in d)
+            _assert_within_bounds(held)
+
+
+def test_a_library_loop_leaves_each_shape_within_its_box_bounds(g3):
+    # windows sampled at radii 1-6, shifted by every a and then by every b
+    # that fits (views of views), read and dropped: the shapes the skeleton
+    # keeps stay within the bounds of their boxes, however many views were
+    # read through them
+    rng = random.Random(5)
+    k = g3.k
+    for N in range(1, 7):
+        x, y = sample_window(g3, N, rng), sample_window(g3, N, rng)
+        for a in dv.box(dv.scaled(1 - N, k), dv.scaled(N - 1, k)):
+            xa, ya = shift(x, a), shift(y, a)
+            for b in dv.box(dv.scaled(1 - xa.N, k), dv.scaled(xa.N - 1, k)):
+                u, v = shift(xa, b), shift(ya, b)
+                ne = dv.scaled(u.N, k)
+                distance(u, v)
+                u.extract(dv.neg(ne), dv.zero(k))
+                v.extract(dv.zero(k), ne)
+    _assert_within_bounds(g3)
+
+
+def _assert_within_bounds(held):
+    for d, shape in held._memo["grid"].items():
+        reads, views = _plan_bounds(d)
+        assert len(shape._reads) <= reads and len(shape._views) <= views, d
+        assert len(shape._fills) <= math.prod(di + 1 for di in d)
 
 
 def _plan_bounds(d):
     """The most read plans and view plans a grid shape of the box [0, d] can
-    hold: read plans by chain (a, b) with a <= b, by window key chain and by
-    fill path (0, mid, d), and by window box (corner, N, m, n); view plans by
-    (corner, N, center, n)."""
+    hold: read plans by chain (a, b) with a <= b, by fill path (0, mid, d),
+    and, on a window's box [0, 2Ne], by view key chain and by window box
+    (N, m, n); view plans by (center, n), |center| <= N - n."""
     k = len(d)
-    # window geometries: radius N with the count of corners c, c + 2Ne <= d
-    windows = [
-        (N, math.prod(di - 2 * N + 1 for di in d)) for N in range(1, min(d) // 2 + 1)
-    ]
+    N = d[0] // 2 if d == dv.scaled(d[0], k) and d[0] % 2 == 0 else 0
+    views = sum((2 * (N - n) + 1) ** k for n in range(1, N + 1))
     reads = (
         math.prod(math.comb(di + 2, 2) for di in d)
-        + sum(corners for _, corners in windows)
         + math.prod(di + 1 for di in d)
-        + sum(corners * math.comb(2 * N + 2, 2) ** k for N, corners in windows)
-    )
-    views = sum(
-        corners * sum((2 * (N - n) + 1) ** k for n in range(1, N + 1)) for N, corners in windows
+        + views
+        + (math.comb(2 * N + 2, 2) ** k if N else 0)
     )
     return reads, views

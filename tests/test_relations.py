@@ -224,8 +224,8 @@ def test_semidirect_associativity_on_g1(g1):
 
 @pytest.mark.parametrize("name", ["g2", "g3"])
 def test_predicates_read_the_right_box_across_grids(name, request):
-    # x is a radius-2 window at corner 0 of its own grid; y is a radius-2
-    # view at one of 3^k corners of a radius-3 grid.  Every predicate must
+    # x is a radius-2 window built from its body; y is a radius-2 view cut
+    # at one of 3^k centers of a radius-3 window.  Every predicate must
     # agree with extract(..) == extract(..), and both with subblock on the
     # bodies the windows stand for, at every offset, point boxes included
     sk = request.getfixturevalue(name)
