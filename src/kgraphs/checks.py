@@ -109,13 +109,13 @@ SAMPLE_SIZE = 48
 @dataclass(frozen=True)
 class AnalysisConfig:
     tol: float = 1e-12
-    search_bound: int = 8
+    bound: int = 8
     radius: int = 2
     metric_r: float = 0.5
     seed: int = 0
 
     def bound_vec(self, k: int) -> Degree:
-        return dv.scaled(self.search_bound, k)
+        return dv.scaled(self.bound, k)
 
 
 @dataclass

@@ -30,10 +30,10 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 from . import degrees as dv
-from .checks import AnalysisConfig, run_suite
+from .checks import _TOL_MASS, AnalysisConfig, run_suite
 from .core import (
     ColoredEdge,
     Skeleton,
@@ -64,8 +64,6 @@ from .spectral import (
     vertex_matrix,
 )
 
-COMMANDS = ("validate", "enumerate", "spectral", "measure", "dynamics", "relations", "suite")
-
 
 def _is_int(x) -> bool:
     # JSON true/false arrive as bool, which is an int subclass
@@ -76,13 +74,18 @@ def _is_real(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
-#: config key -> (test on its value, what the value must be)
+#: config key -> (flag type, flag help, test on its value, what the value
+#: must be); the keys are AnalysisConfig's fields, in report order
 _CONFIG_RULES = {
-    "tol": (lambda x: _is_real(x) and 0 < x < math.inf, "must be a positive finite number"),
-    "bound": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
-    "radius": (lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
-    "metric_r": (lambda x: _is_real(x) and 0 < x < 1, "must be a number in (0, 1)"),
-    "seed": (_is_int, "must be an integer"),
+    "tol": (
+        float, None, lambda x: _is_real(x) and 0 < x < math.inf, "must be a positive finite number"
+    ),
+    "bound": (
+        int, "primitivity search bound", lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"
+    ),
+    "radius": (int, "window radius", lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
+    "metric_r": (float, None, lambda x: _is_real(x) and 0 < x < 1, "must be a number in (0, 1)"),
+    "seed": (int, None, _is_int, "must be an integer"),
 }
 
 
@@ -176,10 +179,9 @@ def _merge_config(file_cfg: dict, overrides: dict | None) -> AnalysisConfig:
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     for key, val in merged.items():
         _expect(key in _CONFIG_RULES, "config", f"unknown key {key!r}")
-        ok, what = _CONFIG_RULES[key]
+        _, _, ok, what = _CONFIG_RULES[key]
         _expect(ok(val), f"config.{key}", what)
-    rename = {"bound": "search_bound"}
-    return replace(AnalysisConfig(), **{rename.get(k, k): v for k, v in merged.items()})
+    return AnalysisConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +240,6 @@ class Report:
         return render_value(body) + "\n"
 
 
-def _config_dict(cfg: AnalysisConfig) -> dict:
-    return {
-        "tol": cfg.tol,
-        "bound": cfg.search_bound,
-        "radius": cfg.radius,
-        "metric_r": cfg.metric_r,
-        "seed": cfg.seed,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
@@ -255,6 +247,10 @@ def _config_dict(cfg: AnalysisConfig) -> dict:
 
 def _degree_key(p) -> str:
     return ",".join(str(x) for x in p)
+
+
+def _label(m) -> str:
+    return ".".join(m.word) if m.word else f"id:{m.range}"
 
 
 def _matrix_record(m) -> dict:
@@ -282,10 +278,7 @@ def _cmd_enumerate(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
     words = {}
     for p in dv.box(dv.zero(sk.k), dv.scaled(2, sk.k)):
         if count_morphisms(sk, p) <= 256:
-            words[_degree_key(p)] = [
-                ".".join(m.word) if m.word else f"id:{m.range}"
-                for m in enumerate_morphisms(sk, p)
-            ]
+            words[_degree_key(p)] = [_label(m) for m in enumerate_morphisms(sk, p)]
     return {"counts": counts, "morphisms": words}
 
 
@@ -350,7 +343,7 @@ def _cmd_measure(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
             mv = parry_measure(pd, CylinderSet(m, dv.zero(sk.k)))
             cylinders.append(
                 {
-                    "cylinder": ".".join(m.word) if m.word else f"id:{m.range}",
+                    "cylinder": _label(m),
                     "offset": _degree_key(dv.zero(sk.k)),
                     "value": mv.value,
                     "trace": {
@@ -362,7 +355,7 @@ def _cmd_measure(sk: Skeleton, cfg: AnalysisConfig, violations: list) -> dict:
             )
             if dv.is_zero(p):
                 total += mv.value
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > _TOL_MASS:
         violations.append(
             {"kind": "math", "code": "total-mass", "detail": f"vertex cylinders sum to {total!r}"}
         )
@@ -465,6 +458,11 @@ _DISPATCH = {
     "relations": _cmd_relations,
     "suite": _cmd_suite,
 }
+COMMANDS = tuple(_DISPATCH)
+
+
+def _input_failure(command: str, digest: str, code: str, detail: str) -> Report:
+    return Report(command, digest, {}, {}, [{"kind": "input", "code": code, "detail": detail}])
 
 
 def run(command: str, text: str, overrides: dict | None = None) -> Report:
@@ -474,31 +472,19 @@ def run(command: str, text: str, overrides: dict | None = None) -> Report:
     digest = sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
     started = time.perf_counter()
     if command not in COMMANDS:
-        return Report(
-            command=command,
-            digest=digest,
-            config={},
-            results={},
-            violations=[{"kind": "input", "code": "unknown-command", "detail": command}],
-        )
+        return _input_failure(command, digest, "unknown-command", command)
     try:
         sk, file_cfg = parse_document(text)
         cfg = _merge_config(file_cfg, overrides)
     except (ParseError, MalformedSkeleton) as exc:
-        return Report(
-            command=command,
-            digest=digest,
-            config={},
-            results={},
-            violations=[{"kind": "input", "code": type(exc).__name__, "detail": str(exc)}],
-        )
+        return _input_failure(command, digest, type(exc).__name__, str(exc))
     violations: list = []
     if command != "validate":
         pre = validate_skeleton(sk)
         if not pre.ok:
             for v in pre.violations:
                 violations.append({"kind": "math", "code": v.code, "detail": v.message})
-            return Report(command, digest, _config_dict(cfg), {}, violations)
+            return Report(command, digest, asdict(cfg), {}, violations)
     try:
         results = _DISPATCH[command](sk, cfg, violations)
     except KGraphError as exc:
@@ -507,7 +493,7 @@ def run(command: str, text: str, overrides: dict | None = None) -> Report:
     return Report(
         command=command,
         digest=digest,
-        config=_config_dict(cfg),
+        config=asdict(cfg),
         results=results,
         violations=violations,
         elapsed=time.perf_counter() - started,
@@ -520,11 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--spec", required=True, help="path to the skeleton document")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--bound", type=int, default=None, help="primitivity search bound")
-    parser.add_argument("--radius", type=int, default=None, help="window radius")
-    parser.add_argument("--metric-r", dest="metric_r", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for key, (kind, help_text, _, _) in _CONFIG_RULES.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     args = parser.parse_args(argv)
     try:
@@ -533,14 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read spec: {exc}", file=sys.stderr)
         return 2
-    overrides = {
-        "tol": args.tol,
-        "bound": args.bound,
-        "radius": args.radius,
-        "metric_r": args.metric_r,
-        "seed": args.seed,
-    }
-    report = run(args.command, text, overrides)
+    report = run(args.command, text, {key: getattr(args, key) for key in _CONFIG_RULES})
     rendered = report.render()
     if args.out:
         try:

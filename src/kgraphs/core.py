@@ -211,13 +211,6 @@ class Skeleton:
         return {key: tuple(es) for key, es in out.items()}
 
     @cached_property
-    def _by_source(self) -> Mapping[tuple[Vertex, int], tuple[ColoredEdge, ...]]:
-        out: dict[tuple[Vertex, int], list[ColoredEdge]] = {}
-        for e in self.edges:
-            out.setdefault((e.source, e.color), []).append(e)
-        return {key: tuple(es) for key, es in out.items()}
-
-    @cached_property
     def _vertex_index(self) -> Mapping[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
@@ -233,17 +226,6 @@ class Skeleton:
 
     def edges_with_range(self, v: Vertex, color: int) -> tuple[ColoredEdge, ...]:
         return self._by_range.get((v, color), ())
-
-    def edges_with_source(self, v: Vertex, color: int) -> tuple[ColoredEdge, ...]:
-        return self._by_source.get((v, color), ())
-
-    @cached_property
-    def square_fwd(self) -> Mapping[tuple[int, int], Mapping[tuple[str, str], tuple[str, str]]]:
-        """(i, j) -> {(f, g): (g', f')} with f*g = g'*f'."""
-        out: dict[tuple[int, int], dict[tuple[str, str], tuple[str, str]]] = {}
-        for r in self.squares:
-            out.setdefault(r.pair, {})[r.left] = r.right
-        return out
 
     @cached_property
     def square_swap(self) -> Mapping[str, Mapping[str, tuple[str, str]]]:
@@ -939,9 +921,14 @@ def validate_skeleton(sk: Skeleton) -> ValidationReport:
     # triple with an edgeless color has nothing to check: the cost follows
     # the colors in use, not k
     colors = [c for c in range(sk.k) if sk.edges_of_color[c]]
+    # per pair (i, j), {(f, g): (g', f')} with f*g = g'*f', in rule order;
+    # grouped in one pass, as a scan per pair costs pairs x squares
+    tables: dict[tuple[int, int], dict[tuple[str, str], tuple[str, str]]] = {}
+    for r in sk.squares:
+        tables.setdefault(r.pair, {})[r.left] = r.right
     square_ok = True
     for i, j in combinations(colors, 2):
-        ok = _check_square_pair(sk, i, j, violations)
+        ok = _check_square_pair(sk, i, j, tables.get((i, j), {}), violations)
         square_ok = square_ok and ok
     if square_ok:
         _check_cubes(sk, colors, violations)
@@ -949,7 +936,13 @@ def validate_skeleton(sk: Skeleton) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _check_square_pair(sk: Skeleton, i: int, j: int, out: list[Violation]) -> bool:
+def _check_square_pair(
+    sk: Skeleton,
+    i: int,
+    j: int,
+    table: Mapping[tuple[str, str], tuple[str, str]],
+    out: list[Violation],
+) -> bool:
     domain = {
         (f.id, g.id)
         for f in sk.edges_of_color[i]
@@ -962,7 +955,6 @@ def _check_square_pair(sk: Skeleton, i: int, j: int, out: list[Violation]) -> bo
         for fp in sk.edges_of_color[i]
         if gp.source == fp.range
     }
-    table = sk.square_fwd.get((i, j), {})
     ok = True
     for key in sorted(domain - set(table)):
         ok = False
@@ -1068,6 +1060,7 @@ def _resolve_cube(sk: Skeleton, h: str, g: str, f: str, front_first: bool) -> tu
 
 
 def _check_standing_assumption(sk: Skeleton, out: list[Violation]) -> None:
+    emits = {(e.source, e.color) for e in sk.edges}
     for c in range(sk.k):
         for v in sk.vertices:
             if not sk.edges_with_range(v, c):
@@ -1078,7 +1071,7 @@ def _check_standing_assumption(sk: Skeleton, out: list[Violation]) -> None:
                         (v, str(c)),
                     )
                 )
-            if not sk.edges_with_source(v, c):
+            if (v, c) not in emits:
                 out.append(
                     Violation(
                         "standing-assumption-source",

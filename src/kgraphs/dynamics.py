@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from . import degrees as dv
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     GridShape,
     Morphism,
     Skeleton,
@@ -262,7 +263,7 @@ def window_from_record(sk: Skeleton, rec: dict) -> Window:
     return make_window(sk, body, rec["radius"])
 
 
-def all_windows(sk: Skeleton, n: int, cap: int = 10**6) -> list[Window]:
+def all_windows(sk: Skeleton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Window]:
     """Every radius-n window, i.e. every body in Lambda^{2ne}."""
     n = _radius(n)
     bodies = enumerate_morphisms(sk, dv.scaled(2 * n, sk.k), cap=cap)
@@ -375,7 +376,9 @@ class LocalProduct:
     check: bool
 
 
-def local_product_enum(sk: Skeleton, v: Vertex, n: int, cap: int = 10**6) -> LocalProduct:
+def local_product_enum(
+    sk: Skeleton, v: Vertex, n: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> LocalProduct:
     """Depth-n halves through v and the count check |E| * |F| = #windows at v."""
     ne = dv.scaled(n, sk.k)
     total = count_morphisms(sk, dv.scaled(2 * n, sk.k))

@@ -221,20 +221,24 @@ def _sums(lists: Sequence[Sequence[int]], x: list[float]) -> list[float]:
     return [math.fsum(map(at, indices)) for indices in lists]
 
 
-def _power_iteration(lists: list[list[int]], tol: float, max_iter: int = 200_000) -> list[float]:
+#: steps a power iteration takes before it gives up
+POWER_STEPS = 200_000
+
+
+def _power_iteration(lists: list[list[int]], tol: float) -> list[float]:
     """The Perron vector, scaled to max 1, of the matrix whose row i sums
     the entries at the indices ``lists[i]``.  Stops once the scaled
     iterate moves by at most tol / 10: a residual relative to the
     eigenvalue stops too early on a small spectral gap."""
     v = [1.0] * len(lists)
-    for _ in range(max_iter):
+    for _ in range(POWER_STEPS):
         w = _sums(lists, v)
         top = max(w)
         w = [x / top for x in w]
         if max(map(abs, map(operator.sub, w, v))) <= tol / 10:
             return w
         v = w
-    raise NotConverged(f"power iteration moved by more than {tol / 10} after {max_iter} steps")
+    raise NotConverged(f"power iteration moved by more than {tol / 10} after {POWER_STEPS} steps")
 
 
 def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:

@@ -4,13 +4,23 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphs import core
-from kgraphs.cli import COMMANDS, main, parse_document, parse_spec, render_value, run
+from kgraphs.checks import AnalysisConfig
+from kgraphs.cli import (
+    _CONFIG_RULES,
+    COMMANDS,
+    main,
+    parse_document,
+    parse_spec,
+    render_value,
+    run,
+)
 from kgraphs.errors import MalformedSkeleton, ParseError
 
 from conftest import FIXTURES
@@ -67,6 +77,35 @@ def test_config_merging(g3_text):
     report = run("validate", json.dumps(doc), {"radius": 2})
     assert report.config["seed"] == 3
     assert report.config["radius"] == 2  # flag wins over the file
+
+
+#: per config key: its flag, a good value other than the default, a bad value
+_SETTINGS = {
+    "tol": ("--tol", 1e-9, 0),
+    "bound": ("--bound", 3, 0),
+    "radius": ("--radius", 1, 1.5),
+    "metric_r": ("--metric-r", 0.25, 1),
+    "seed": ("--seed", 7, "x"),
+}
+
+
+def test_each_setting_is_one_field_one_flag_and_one_config_key(g3_text, tmp_path, capsys):
+    keys = list(_CONFIG_RULES)
+    assert keys == [f.name for f in fields(AnalysisConfig)] == list(_SETTINGS)
+    assert list(run("validate", g3_text).config) == keys
+    spec = tmp_path / "g3.json"
+    spec.write_text(g3_text)
+    for key, (flag, good, bad) in _SETTINGS.items():
+        assert good != getattr(AnalysisConfig(), key)
+        assert main(["--spec", str(spec), "--command", "validate", flag, str(good)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"][key] == good, key
+        doc = json.loads(g3_text)
+        doc["config"] = {key: bad}
+        through_doc = run("validate", json.dumps(doc)).violations
+        assert through_doc == run("validate", g3_text, {key: bad}).violations, key
+        [violation] = through_doc
+        assert violation["kind"] == "input"
+        assert violation["detail"].startswith(f"config.{key}: must be "), violation
 
 
 def test_render_floats_use_12_significant_digits():
@@ -354,9 +393,9 @@ def test_main_validates_a_rank_1000_document_without_visiting_edgeless_pairs(
     visited = []
     check = core._check_square_pair
 
-    def counting(sk, i, j, out):
+    def counting(sk, i, j, table, out):
         visited.append((i, j))
-        return check(sk, i, j, out)
+        return check(sk, i, j, table, out)
 
     monkeypatch.setattr(core, "_check_square_pair", counting)
     spec = tmp_path / "rank1000.json"

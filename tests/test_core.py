@@ -57,7 +57,7 @@ def test_g3_squares_form_a_bijection(g3):
     blues = [e.id for e in g3.edges if e.color == 0]
     reds = [e.id for e in g3.edges if e.color == 1]
     domain = {(b, r) for b in blues for r in reds}
-    table = g3.square_fwd[(0, 1)]
+    table = {r.left: r.right for r in g3.squares if r.pair == (0, 1)}
     assert set(table) == domain
     assert len(set(table.values())) == len(domain)
     assert set(table.values()) == {(r, b) for r in reds for b in blues}
@@ -165,9 +165,9 @@ def test_validation_visits_only_the_color_pairs_that_have_edges(monkeypatch):
     visited = []
     check = core._check_square_pair
 
-    def counting(sk, i, j, out):
+    def counting(sk, i, j, table, out):
         visited.append((i, j))
-        return check(sk, i, j, out)
+        return check(sk, i, j, table, out)
 
     monkeypatch.setattr(core, "_check_square_pair", counting)
     bad_cube = _cube_graph({1: 2, 2: 1, 3: 3}, {1: 1, 2: 3, 3: 2})
@@ -182,7 +182,12 @@ def test_validation_visits_only_the_color_pairs_that_have_edges(monkeypatch):
         # the same violations, in the same order, as a sweep of every pair
         # and every triple of the six colors
         every: list = []
-        square_ok = all([check(sk, i, j, every) for i, j in itertools.combinations(range(6), 2)])
+        square_ok = all(
+            [
+                check(sk, i, j, {r.left: r.right for r in sk.squares if r.pair == (i, j)}, every)
+                for i, j in itertools.combinations(range(6), 2)
+            ]
+        )
         if square_ok:
             core._check_cubes(sk, list(range(6)), every)
         core._check_standing_assumption(sk, every)

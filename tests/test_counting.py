@@ -10,6 +10,7 @@ import pytest
 
 from kgraphs import degrees as dv
 from kgraphs.cli import run
+from kgraphs.checks import AnalysisConfig, run_suite
 from kgraphs.core import (
     ColoredEdge,
     Skeleton,
@@ -23,6 +24,7 @@ from kgraphs.core import (
     factorize,
     sample_morphism,
     subblock,
+    validate_skeleton,
 )
 from kgraphs.dynamics import connecting_morphism, sample_window, shift
 from kgraphs.errors import DegreeMismatch
@@ -31,7 +33,7 @@ from kgraphs.relations import RelationQuery, stable_equiv, unstable_equiv
 from kgraphs.spectral import af_multiplicities, classify_connectivity, perron_data, vertex_matrix
 
 from conftest import FIXTURES, load_fixture, schoolbook_product
-from randgraphs import random_1graph, random_flip_2graph
+from randgraphs import random_1graph, random_flip_2graph, random_twisted_2graph
 
 
 def test_golden_mean_count_at_degree_2000(g2):
@@ -165,6 +167,30 @@ def test_binary_powers_box_table_and_dense_products_agree(fixture_graphs, random
         assert list(table) == list(dv.box(dv.zero(sk.k), top))
         for p, entries in table.items():
             assert _vm(sk, p) == entries == _dense_product(sk, p), (sk.k, p)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_twisted_2graphs_count_as_powers_of_the_blue_matrix_and_pass_the_suite(seed):
+    # red edges are the blue paths of length p, so |Lambda^(m,n)| is the
+    # entry sum of A^(m+pn), with A the blue matrix
+    rng = random.Random(seed)
+    p = rng.choice((1, 2))
+    sk = random_twisted_2graph(rng, rng.randint(2, 4), rng.randint(0, 3), p)
+    assert len(sk.vertices) > 1 and validate_skeleton(sk).ok
+    idx = {v: i for i, v in enumerate(sk.vertices)}
+    size = len(sk.vertices)
+    a = [[0] * size for _ in range(size)]
+    for e in sk.edges:
+        if e.color == 0:
+            a[idx[e.range]][idx[e.source]] += 1
+    powers = [tuple(tuple(int(i == j) for j in range(size)) for i in range(size))]
+    while len(powers) <= 2 + 2 * p:
+        powers.append(schoolbook_product(powers[-1], a))
+    for m in range(3):
+        for n in range(3):
+            assert count_morphisms(sk, (m, n)) == sum(map(sum, powers[m + p * n])), (m, n)
+    fails = [(r.name, r.detail) for r in run_suite(sk, AnalysisConfig()) if r.failed]
+    assert not fails
 
 
 def _random_matrix(rng, n, bits):

@@ -412,14 +412,16 @@ def test_perron_data_matches_numpy_eigendata(sk):
         assert abs(pd.b[v] - b[v]) <= 1e-12
 
 
-def test_power_iteration_raises_when_it_runs_out_of_steps(g2):
+def test_power_iteration_raises_when_it_runs_out_of_steps(g2, monkeypatch):
     # row u of g2's I + M sums u and the sources of the edges into u; three
     # steps stop short of the tolerance
     idx = {v: i for i, v in enumerate(g2.vertices)}
     lists = [[idx[u]] + [idx[e.source] for e in g2.edges if e.range == u] for u in g2.vertices]
     assert sorted(map(len, lists)) == [2, 3]
-    with pytest.raises(NotConverged, match="moved by more than 1e-13 after 3 steps"):
-        _power_iteration(lists, 1e-12, max_iter=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "POWER_STEPS", 3)
+        with pytest.raises(NotConverged, match="moved by more than 1e-13 after 3 steps"):
+            _power_iteration(lists, 1e-12)
     # with the default budget the same lists converge, to M's Perron vector
     vector = _power_iteration(lists, 1e-12)
     assert max(vector) == 1.0
