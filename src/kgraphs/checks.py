@@ -62,6 +62,7 @@ from .dynamics import (
     _block_tokens,
     all_windows,
     bracket,
+    connecting_morphism,
     distance,
     local_product_enum,
     make_window,
@@ -489,18 +490,18 @@ def _count_ratios(sk: Skeleton) -> tuple[int, dict | None]:
 
 
 def _measure_classes(suite: Suite) -> tuple[PerronData, list[tuple[Morphism, tuple]], str]:
-    """The Perron data; the first path of each (d, r, s) class in the pool
-    of degree <= 2e with the count ratios of its class, which a run computes
-    once, or a skip if they still move at RATIO_STEPS; and the detail."""
+    """The Perron data; one path of each (d, r, s) class with d <= 2e, built
+    from the exact counts (``connecting_morphism``), with the count ratios of
+    its class, which a run computes once, or a skip if they still move at
+    RATIO_STEPS; and the detail."""
     pd = suite.perron
     steps, ratios = suite._once("ratios", lambda: _count_ratios(suite.sk))
     if ratios is None:
         raise _Skip(f"count ratios still move after {steps} steps")
-    classes: dict[tuple[Degree, Vertex, Vertex], Morphism] = {}
-    for lam in _morphisms_upto(suite.sk, dv.scaled(2, suite.sk.k), cap=4000):
-        classes.setdefault((lam.degree, lam.range, lam.source), lam)
-    detail = f"{len(classes)} of {len(ratios)} classes, N = {steps}"
-    return pd, [(lam, ratios[c]) for c, lam in classes.items()], detail
+    classes = [
+        (connecting_morphism(suite.sk, r, s, d), ratio) for (d, r, s), ratio in ratios.items()
+    ]
+    return pd, classes, f"{len(classes)} of {len(ratios)} classes, N = {steps}"
 
 
 @_check("measure-expansion")
@@ -528,7 +529,7 @@ def check_product_decomposition(suite: Suite, name: str) -> CheckResult:
         return CheckResult(name, "skip", f"|Lambda^{two}| = {total} exceeds the enumeration cap")
     stable = dict.fromkeys(sk.vertices, 0.0)
     unstable = dict.fromkeys(sk.vertices, 0.0)
-    for lam in enumerate_morphisms(sk, two, cap=DEFAULT_ENUMERATION_CAP):
+    for lam in enumerate_morphisms(sk, two):
         stable[lam.source] += conditional_measure(pd, "stable", lam).value
         unstable[lam.range] += conditional_measure(pd, "unstable", lam).value
     for v in sk.vertices:

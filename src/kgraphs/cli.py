@@ -78,14 +78,22 @@ def _is_real(x) -> bool:
 #: must be); the keys are AnalysisConfig's fields, in report order
 _CONFIG_RULES = {
     "tol": (
-        float, None, lambda x: _is_real(x) and 0 < x < math.inf, "must be a positive finite number"
+        float,
+        "tolerance of the Perron iteration",
+        lambda x: _is_real(x) and 0 < x < math.inf,
+        "must be a positive finite number",
     ),
     "bound": (
         int, "primitivity search bound", lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"
     ),
     "radius": (int, "window radius", lambda x: _is_int(x) and x >= 1, "must be an integer >= 1"),
-    "metric_r": (float, None, lambda x: _is_real(x) and 0 < x < 1, "must be a number in (0, 1)"),
-    "seed": (int, None, _is_int, "must be an integer"),
+    "metric_r": (
+        float,
+        "window metric parameter r in rho = r^h",
+        lambda x: _is_real(x) and 0 < x < 1,
+        "must be a number in (0, 1)",
+    ),
+    "seed": (int, "seed of every random draw", _is_int, "must be an integer"),
 }
 
 

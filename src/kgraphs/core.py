@@ -1234,9 +1234,9 @@ def _diamond(sk1: Skeleton, sk2: Skeleton) -> Skeleton:
     return Skeleton(k, vertices, tuple(edges), tuple(squares))
 
 
-def diagonal_restriction(sk: Skeleton, cap: int = DEFAULT_ENUMERATION_CAP) -> Skeleton:
+def diagonal_restriction(sk: Skeleton) -> Skeleton:
     """The 1-graph whose edges are the degree-e morphisms of sk."""
-    diag = enumerate_morphisms(sk, dv.ones(sk.k), cap=cap)
+    diag = enumerate_morphisms(sk, dv.ones(sk.k))
     edges = tuple(
         ColoredEdge(f"[{'.'.join(m.word)}]", 0, m.range, m.source) for m in diag
     )

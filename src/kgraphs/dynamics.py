@@ -88,11 +88,11 @@ class Window:
     restricted windows are views: a key, with the window it was cut from
     and its center there (``_source``); a bracket is its key alone.  Both
     fill their own grid from the key when a read needs it.  Windows carry no
-    instance dict: ``__slots__`` holds the fields, and the body and the
-    nested words are filled on first read.
+    instance dict: ``__slots__`` holds the key and where the grid comes
+    from, and everything else (the body, the origin) is read from them.
     """
 
-    __slots__ = ("skeleton", "N", "key", "origin", "_grid", "_source", "_body", "_nested_words")
+    __slots__ = ("skeleton", "N", "key", "_grid", "_source")
 
     def __init__(self, N: int, body: Morphism) -> None:
         """The window whose body x(-Ne, Ne) is ``body``, of degree 2Ne: a
@@ -108,23 +108,15 @@ class Window:
         self.skeleton = sk
         self.N = N
         self.key = shape.plan(dv.zero(sk.k), dv.scaled(N, sk.k), body.degree).read(cells)
-        #: x(0), the vertex at the center of the box: the range of the
-        #: first edge of the future word
-        self.origin: Vertex = sk.edge_map[self.key[sk.k * N]].range
         self._grid: _Grid | None = (shape, cells)
         self._source: tuple[Window, Degree] | None = None
-        self._body: Morphism | None = body
-        self._nested_words: tuple[tuple[str, ...], ...] | None = None
 
     @classmethod
-    def _of(
-        cls, sk: Skeleton, N: int, key: tuple[str, ...], origin: Vertex, grid: _Grid | None = None
-    ) -> "Window":
-        """The window with this key and origin on ``grid``, or on a grid
-        filled from the key when first read."""
+    def _of(cls, sk: Skeleton, N: int, key: tuple[str, ...], grid: _Grid | None = None) -> "Window":
+        """The window with this key on ``grid``, or on a grid filled from
+        the key when first read."""
         w = cls.__new__(cls)
-        w.skeleton, w.N, w.key, w.origin, w._grid = sk, N, key, origin, grid
-        w._source = w._body = w._nested_words = None
+        w.skeleton, w.N, w.key, w._grid, w._source = sk, N, key, grid, None
         return w
 
     def __hash__(self) -> int:
@@ -156,8 +148,7 @@ class Window:
             source, at = self._source
             center = dv.add(at, center)
         shape, cells = source._cells()
-        key, sk = shape.view(source.N, center, n).read(cells), self.skeleton
-        w = Window._of(sk, n, key, sk.edge_map[key[sk.k * n]].range)
+        w = Window._of(self.skeleton, n, shape.view(source.N, center, n).read(cells))
         w._source = (source, center)
         return w
 
@@ -169,24 +160,18 @@ class Window:
         plan = shape.box(self.N, m, n)
         return plan.read(cells) if plan.point is None else plan.vertex(self.skeleton, cells)
 
-    @property
-    def _nested(self) -> tuple[tuple[str, ...], ...]:
-        """The normal-form words of x(-je, je), j = 1..N, as raw edge ids."""
-        if self._nested_words is None:
-            shape, cells = self._cells()
-            N, k = self.N, self.skeleton.k
-            self._nested_words = tuple(
-                shape.box(N, dv.scaled(-j, k), dv.scaled(j, k)).read(cells)
-                for j in range(1, N + 1)
-            )
-        return self._nested_words
-
     def extract(self, m: Degree, n: Degree) -> Morphism:
         """x(m, n) for -Ne <= m <= n <= Ne."""
         k = self.skeleton.k
         m, n = dv.as_degree(m, k), dv.as_degree(n, k)
         shape, cells = self._cells()
         return shape.box(self.N, m, n).morphism(self.skeleton, cells)
+
+    @property
+    def origin(self) -> Vertex:
+        """x(0), the vertex at the center of the box: the range of the first
+        edge of the future word."""
+        return self.skeleton.edge_map[self.key[self.skeleton.k * self.N]].range
 
     @property
     def past(self) -> Morphism:
@@ -206,12 +191,9 @@ class Window:
 
     @property
     def body(self) -> Morphism:
-        """x(-Ne, Ne) as one morphism of degree 2Ne (set directly on windows
-        built from their body)."""
-        if self._body is None:
-            ne = dv.scaled(self.N, self.skeleton.k)
-            self._body = self.extract(dv.neg(ne), ne)
-        return self._body
+        """x(-Ne, Ne) as one morphism of degree 2Ne, read off the grid."""
+        ne = dv.scaled(self.N, self.skeleton.k)
+        return self.extract(dv.neg(ne), ne)
 
     def record(self) -> dict:
         """Serialization: radius, the body word, and the skeleton hash."""
@@ -263,11 +245,10 @@ def window_from_record(sk: Skeleton, rec: dict) -> Window:
     return make_window(sk, body, rec["radius"])
 
 
-def all_windows(sk: Skeleton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Window]:
+def all_windows(sk: Skeleton, n: int) -> list[Window]:
     """Every radius-n window, i.e. every body in Lambda^{2ne}."""
     n = _radius(n)
-    bodies = enumerate_morphisms(sk, dv.scaled(2 * n, sk.k), cap=cap)
-    return [Window(n, b) for b in bodies]
+    return [Window(n, b) for b in enumerate_morphisms(sk, dv.scaled(2 * n, sk.k))]
 
 
 def sample_window(sk: Skeleton, n: int, rng) -> Window:
@@ -339,15 +320,12 @@ def distance(x: Window, y: Window, params: MetricParams = MetricParams()) -> Dis
         raise GraphMismatch("windows live over different skeletons")
     if x.origin != y.origin:
         return DistanceResult(h=0, rho=1.0, indistinguishable=False)
-    agree = 0
-    for wx, wy in zip(x._nested, y._nested):
-        if wx != wy:
-            break
-        agree += 1
-    if agree == x.N:
-        return DistanceResult(h=math.inf, rho=0.0, indistinguishable=True)
-    h = 1 + agree
-    return DistanceResult(h=h, rho=params.r**h, indistinguishable=False)
+    k = x.skeleton.k
+    for j in range(1, x.N + 1):
+        m, n = dv.scaled(-j, k), dv.scaled(j, k)
+        if x._read(m, n) != y._read(m, n):
+            return DistanceResult(h=j, rho=params.r**j, indistinguishable=False)
+    return DistanceResult(h=math.inf, rho=0.0, indistinguishable=True)
 
 
 def bracket(x: Window, y: Window) -> Window:
@@ -360,7 +338,7 @@ def bracket(x: Window, y: Window) -> Window:
     if x.origin != y.origin:
         raise NotBracketable(f"origins differ: {x.origin!r} != {y.origin!r}")
     half = sk.k * N
-    return Window._of(sk, N, x.key[:half] + y.key[half:], x.origin)
+    return Window._of(sk, N, x.key[:half] + y.key[half:])
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +354,17 @@ class LocalProduct:
     check: bool
 
 
-def local_product_enum(
-    sk: Skeleton, v: Vertex, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> LocalProduct:
+def local_product_enum(sk: Skeleton, v: Vertex, n: int) -> LocalProduct:
     """Depth-n halves through v and the count check |E| * |F| = #windows at v."""
-    ne = dv.scaled(n, sk.k)
-    total = count_morphisms(sk, dv.scaled(2 * n, sk.k))
-    if total > cap:
-        raise BoundExceeded(f"|Lambda^{dv.scaled(2 * n, sk.k)}| = {total} exceeds {cap}")
-    halves = enumerate_morphisms(sk, ne, cap=cap)
+    ne, two = dv.scaled(n, sk.k), dv.scaled(2 * n, sk.k)
+    total = count_morphisms(sk, two)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise BoundExceeded(f"|Lambda^{two}| = {total} exceeds {DEFAULT_ENUMERATION_CAP}")
+    halves = enumerate_morphisms(sk, ne)
     futures = tuple(m for m in halves if m.range == v)
     pasts = tuple(m for m in halves if m.source == v)
     nwin = 0
-    for body in enumerate_morphisms(sk, dv.scaled(2 * n, sk.k), cap=cap):
+    for body in enumerate_morphisms(sk, two):
         mid, _ = _split(body, ne, ne)
         if mid.source == v:
             nwin += 1

@@ -198,7 +198,6 @@ class PerronData:
     b: dict[Vertex, float]
     residual: float
     normalization_deviation: float
-    tol: float
 
     def t_power(self, p: Degree) -> float:
         """t^p for p in Z^k, multiplied in color order."""
@@ -284,7 +283,6 @@ def perron_data(sk: Skeleton, tol: float = 1e-12) -> PerronData:
         b=dict(zip(sk.vertices, b_vec)),
         residual=residual,
         normalization_deviation=abs(_dot(a_vec, b_vec) - 1.0),
-        tol=tol,
     )
 
 

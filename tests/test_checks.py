@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from kgraphs import checks, core, relations
 from kgraphs import degrees as dv
 from kgraphs.core import (
+    ColoredEdge,
     Skeleton,
     SquareRule,
     _from_normal_word,
@@ -92,7 +93,7 @@ def test_bracket_axioms_catch_a_bracket_with_the_right_key_on_another_grid(g3, m
     # the key is right, so only a read of the grid (the body) sees it
     def wrong(x, y):
         z = bracket(x, y)
-        return Window._of(z.skeleton, z.N, z.key, z.origin, y._cells())
+        return Window._of(z.skeleton, z.N, z.key, y._cells())
 
     monkeypatch.setattr(checks, "bracket", wrong)
     result = checks.check_bracket_axioms(checks.Suite(g3, CFG))
@@ -611,6 +612,16 @@ def test_count_ratios_match_the_golden_mean_closed_form(g2):
         assert unstable == pytest.approx(phi**-d * a[s] / a[r], abs=1e-9)
 
 
+def test_the_measure_rows_compare_every_class_up_to_2e():
+    # 70 loops on one vertex: |Lambda^2| = 4,900, so a pool of paths capped
+    # below that misses the degree-2 class
+    loops = tuple(ColoredEdge(f"e{i}", 0, "v", "v") for i in range(70))
+    suite = checks.Suite(Skeleton(1, ("v",), loops, ()), CFG)
+    for check in (checks.check_expansion, checks.check_haar_scaling):
+        result = check(suite)
+        assert (result.status, result.detail) == ("pass", "3 of 3 classes, N = 2")
+
+
 def test_the_measure_rows_skip_when_the_ratios_do_not_settle(g2, monkeypatch):
     monkeypatch.setattr(checks, "RATIO_STEPS", 2)
     suite = checks.Suite(g2, CFG)
@@ -788,7 +799,7 @@ def test_shift_conjugation_catches_a_shift_with_the_right_key_on_another_grid(
         if next(calls) % every:
             return v
         u = shift(source[w], m)
-        return Window._of(v.skeleton, v.N, v.key, v.origin, u._cells())
+        return Window._of(v.skeleton, v.N, v.key, u._cells())
 
     monkeypatch.setattr(checks, "shift", wrong)
     assert checks.check_shift_conjugation(checks.Suite(g3, CFG)).status == "fail"

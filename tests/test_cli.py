@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -106,6 +107,18 @@ def test_each_setting_is_one_field_one_flag_and_one_config_key(g3_text, tmp_path
         [violation] = through_doc
         assert violation["kind"] == "input"
         assert violation["detail"].startswith(f"config.{key}: must be "), violation
+
+
+def test_help_explains_every_setting(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for key, (flag, _, _) in _SETTINGS.items():
+        # the flag and its metavar, then its help on the same line or the next
+        match = re.search(rf"^  {flag} {key.upper()}(?: +|\n {10,})(\S.*)$", out, re.MULTILINE)
+        assert match is not None, flag
 
 
 def test_render_floats_use_12_significant_digits():

@@ -1,6 +1,8 @@
 """Windows, shift, metric, bracket, local product structure, mixing."""
 
+import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -100,8 +102,9 @@ def test_nested_extractions_agree(g3):
 def test_windows_views_and_brackets_carry_no_instance_dict(g3):
     w = all_windows(g3, 2)[0]
     for v in (w, shift(w, (1, 0)), restrict(w, 1), bracket(w, w)):
-        v.body, v._nested  # fill the lazy slots first
+        v.body, v.origin, distance(v, v)  # read everything first
         assert not hasattr(v, "__dict__")
+        assert type(v).__slots__ == ("skeleton", "N", "key", "_grid", "_source")
 
 
 def test_a_degree_of_the_wrong_rank_is_named_on_a_window_read(g3):
@@ -232,6 +235,44 @@ def test_distance_agreement_depth(g1):
 def test_distance_needs_equal_radius(g1):
     with pytest.raises(RadiusMismatch):
         distance(w1(g1, "aabb"), w1(g1, "ab", n=1))
+
+
+def _windows_by_radius(sk, step):
+    """Radius-2 windows of sk (a stride of ``all_windows``), unfilled views
+    of them (shifts, restrictions, views of views) and brackets, by radius."""
+    base = all_windows(sk, 2)[::step]
+    zero, one = dv.zero(sk.k), dv.ones(sk.k)
+    turn = tuple(1 - 2 * (i % 2) for i in range(sk.k))  # (1, -1, ...)
+    brackets = [bracket(x, y) for x in base[:6] for y in base[-6:] if x.origin == y.origin]
+    return {
+        2: base + [shift(w, zero) for w in base] + brackets,
+        1: [shift(w, one) for w in base]
+        + [restrict(w, 1) for w in base]
+        + [shift(shift(w, zero), turn) for w in base]
+        + [shift(z, dv.neg(one)) for z in brackets],
+    }
+
+
+@pytest.mark.parametrize("name, step", [("g3", 9), ("g2", 1)])
+def test_distance_and_origin_follow_their_definitions(request, name, step):
+    # read on unfilled windows first, against the definitions read off a
+    # second copy of the same windows
+    sk = request.getfixturevalue(name)
+    got, ref = _windows_by_radius(sk, step), _windows_by_radius(sk, step)
+    for N, windows in got.items():
+        origins = [w.origin for w in windows]
+        dist = [[distance(x, y).h for y in windows] for x in windows]
+        boxes = [[w.extract(dv.scaled(-j, sk.k), dv.scaled(j, sk.k)) for j in range(1, N + 1)]
+                 for w in ref[N]]
+        assert origins == [w.extract(dv.zero(sk.k), dv.zero(sk.k)).range for w in ref[N]]
+        for i, x in enumerate(ref[N]):
+            for h, y in enumerate(ref[N]):
+                agree = len(list(itertools.takewhile(bool, map(operator.eq, boxes[i], boxes[h]))))
+                if x.origin != y.origin:
+                    want = 0
+                else:
+                    want = math.inf if agree == N else 1 + agree
+                assert dist[i][h] == want, (x, y)
 
 
 def test_metric_params_validate():
